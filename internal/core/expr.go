@@ -218,45 +218,42 @@ var nestTemplates = []exprTemplate{
 	}},
 }
 
-// evalConst evaluates an expression after substituting the single free
-// variable with a concrete value. The context and environment are scratch
-// state reused across calls: evaluation results never alias either (they
-// can only alias the substituted value v, which the caller owns).
-func (s *Synthesizer) evalConst(e ast.Expr, varName string, v value.Value) (value.Value, error) {
-	if s.constEnv == nil {
-		s.constEnv = make(map[string]value.Value, 1)
-	}
-	clear(s.constEnv)
-	s.constEnv[varName] = v
-	s.constCtx.Graph = s.g
-	s.constCtx.Env = s.constEnv
-	return eval.Eval(&s.constCtx, e)
-}
+// holeSlot is the frame slot a nesting round reads its hole from: the
+// value the current expression takes for the element being evaluated.
+// Comprehension binders of the template take the slots after it.
+const holeSlot = 0
 
-// wrapAccess is wrapAccessValue over a reusable scratch map: Algorithm 2
-// wraps a value per competitor per round, and the wrapper map is only read
-// during the evalConst call that immediately follows, so one map serves
-// every wrap.
-func (s *Synthesizer) wrapAccess(prop string, v value.Value) value.Value {
-	if s.constWrap == nil {
-		s.constWrap = make(map[string]value.Value, 1)
-	}
-	clear(s.constWrap)
-	s.constWrap[prop] = v
-	return value.Map(s.constWrap)
-}
+// readHole is the compiled form of the hole.
+func readHole(ctx *eval.Ctx) (value.Value, error) { return ctx.Frame[holeSlot], nil }
 
 // complexifyAccess implements Algorithm 2: starting from the property
 // access varName.prop, it nests expression templates for depth rounds,
 // keeping a nesting only when the intended element's value remains
 // distinguishable from every competitor's. It returns the final
 // expression and its value for the intended element.
+//
+// Every template is strict and pure in the expression it wraps: it
+// evaluates that expression exactly once and depends only on its value,
+// so eval(t(e), c) == t(eval(e, c)), error or not. A round therefore
+// evaluates only the new template node, with the current expression as a
+// hole bound to each element's running value, instead of re-evaluating
+// the whole nest from the original property values. Accepted rounds
+// leave every running value error-free (a competitor that errors rejects
+// the round), and rejected rounds change no state, so the accept/reject
+// decisions, the RNG draws and the returned expression are exactly those
+// of the full re-evaluation (DESIGN.md §14).
 func (s *Synthesizer) complexifyAccess(varName, prop string, intended value.Value, competitors []value.Value, depth int) (ast.Expr, value.Value) {
 	var exp ast.Expr = ast.Prop(varName, prop)
 	v1 := intended
-	// Evaluation always substitutes the ORIGINAL property values of the
-	// intended element and its competitors into the full expression; the
-	// running results v1 are only the bookkeeping of lines 9-10.
+	// cur holds each competitor's running value; next receives a round's
+	// candidate values and becomes cur only if the round is accepted.
+	cur := append(s.compCur[:0], competitors...)
+	next := s.compNext[:0]
+	if cap(next) < len(cur) {
+		next = make([]value.Value, len(cur))
+	}
+	next = next[:len(cur)]
+	s.constCtx.Graph = s.g
 	for d := 0; d < depth; d++ {
 		cls := functions.ClassOf(v1)
 		if s.tmplScratch == nil {
@@ -274,30 +271,63 @@ func (s *Synthesizer) complexifyAccess(varName, prop string, intended value.Valu
 		}
 		t := candidates[s.r.Intn(len(candidates))]
 		newExp := t.build(s.r, exp)
-		nv1, err := s.evalConst(newExp, varName, s.wrapAccess(prop, intended))
+		round, ok := s.compileRound(newExp, exp)
+		if !ok {
+			continue
+		}
+		nv1, err := s.evalRound(round, v1)
 		if err != nil {
 			continue
 		}
 		distinct := true
-		for _, c := range competitors {
-			nc, err := s.evalConst(newExp, varName, s.wrapAccess(prop, c))
+		for i, c := range cur {
+			nc, err := s.evalRound(round, c)
 			if err != nil || value.Equivalent(nc, nv1) {
 				distinct = false
 				break
 			}
+			next[i] = nc
 		}
 		if !distinct {
 			continue // try another template next round (line 8 of Alg. 2)
 		}
 		exp, v1 = newExp, nv1
+		cur, next = next, cur
 	}
+	s.compCur, s.compNext = cur, next
 	return exp, v1
 }
 
-// wrapAccessValue builds a map standing in for the pattern variable so
-// that varName.prop evaluates to v during Algorithm 2's checks.
-func wrapAccessValue(_ string, prop string, v value.Value) value.Value {
-	return value.Map(map[string]value.Value{prop: v})
+// compileRound compiles one nesting round: the template node newExp with
+// its inner expression hole read from holeSlot. It reports false if the
+// node does not compile, which the interpreter would equally have failed
+// to evaluate.
+func (s *Synthesizer) compileRound(newExp, hole ast.Expr) (eval.Compiled, bool) {
+	temps := holeSlot
+	c := eval.Compiler{
+		Special: func(e ast.Expr) (eval.Compiled, bool) {
+			if e == hole {
+				return readHole, true
+			}
+			return nil, false
+		},
+		Temp: func() int { temps++; return temps },
+	}
+	fn, err := c.Compile(newExp)
+	if err != nil {
+		return nil, false
+	}
+	if len(s.constFrame) <= temps {
+		s.constFrame = make([]value.Value, temps+1)
+	}
+	return fn, true
+}
+
+// evalRound evaluates a compiled round with the hole bound to v.
+func (s *Synthesizer) evalRound(round eval.Compiled, v value.Value) (value.Value, error) {
+	s.constFrame[holeSlot] = v
+	s.constCtx.Frame = s.constFrame
+	return round(&s.constCtx)
 }
 
 // pinPredicate renders a pin as a WHERE conjunct: Algorithm 2 nests the
@@ -305,12 +335,13 @@ func wrapAccessValue(_ string, prop string, v value.Value) value.Value {
 // result still matches only the pinned element.
 func (s *Synthesizer) pinPredicate(p pin, depth int) ast.Expr {
 	intended, _ := s.lookupProp(p.elem, "id")
-	var compVals []value.Value
+	compVals := s.pinVals[:0]
 	for _, c := range p.competitors {
 		if v, ok := s.lookupProp(c, "id"); ok {
 			compVals = append(compVals, v)
 		}
 	}
+	s.pinVals = compVals
 	nested, v1 := s.complexifyAccess(p.varName, "id", intended, compVals, s.r.Intn(depth+1))
 	return ast.Bin(ast.OpEq, nested, genValueExpr(s.r, v1, s.r.Intn(depth+1)))
 }
@@ -362,11 +393,11 @@ func (s *Synthesizer) tryRandomExprVars(vars []string, depth int) ast.Expr {
 	case 1:
 		return ast.Bin(ast.OpNeq, s.tryRandomExprVars(vars, depth-1), s.tryRandomExprVars(vars, depth-1))
 	case 2:
-		return &ast.FuncCall{Name: "toString", Args: []ast.Expr{s.tryRandomExprVars(vars, depth - 1)}}
+		return &ast.FuncCall{Name: "toString", Args: []ast.Expr{s.tryRandomExprVars(vars, depth-1)}}
 	case 3:
-		return &ast.FuncCall{Name: "coalesce", Args: []ast.Expr{s.tryRandomExprVars(vars, depth - 1), randomLiteral(s.r)}}
+		return &ast.FuncCall{Name: "coalesce", Args: []ast.Expr{s.tryRandomExprVars(vars, depth-1), randomLiteral(s.r)}}
 	default:
-		return &ast.ListLit{Elems: []ast.Expr{s.tryRandomExprVars(vars, depth - 1)}}
+		return &ast.ListLit{Elems: []ast.Expr{s.tryRandomExprVars(vars, depth-1)}}
 	}
 }
 

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"gqs/internal/cypher/ast"
 	"gqs/internal/eval"
+	"gqs/internal/functions"
 	"gqs/internal/graph"
 	"gqs/internal/value"
 )
@@ -66,7 +69,7 @@ func TestComplexifyStringProperty(t *testing.T) {
 			continue
 		}
 		nested, v1 := syn.complexifyAccess("x", "id", intended, comps, 4)
-		got, err := syn.evalConst(nested, "x", wrapAccessValue("x", "id", intended))
+		got, err := syn.evalConst(nested, "x", wrapAccessValue("id", intended))
 		if err != nil || !value.Equivalent(got, v1) {
 			t.Fatalf("trial %d: %v / %v vs %v (%s)", trial, err, got, v1, ast.ExprString(nested))
 		}
@@ -143,5 +146,166 @@ func TestPinPredicateSelectsIntended(t *testing.T) {
 				t.Fatalf("trial %d: pin predicate true for competitor %d: %s", trial, c.id, ast.ExprString(pred))
 			}
 		}
+	}
+}
+
+// evalConst evaluates an expression with its single free variable bound
+// to v, through the tree-walking interpreter and a fresh environment.
+func (s *Synthesizer) evalConst(e ast.Expr, varName string, v value.Value) (value.Value, error) {
+	return eval.Eval(&eval.Ctx{Graph: s.g, Env: map[string]value.Value{varName: v}}, e)
+}
+
+// wrapAccessValue builds a map standing in for the pattern variable, so
+// that var.prop evaluates to v.
+func wrapAccessValue(prop string, v value.Value) value.Value {
+	return value.Map(map[string]value.Value{prop: v})
+}
+
+// referenceComplexifyAccess is the direct reading of Algorithm 2: every
+// round re-evaluates the whole nested expression from the original
+// property values of the intended element and of each competitor. It is
+// the oracle of TestComplexifyIncrementalMatchesReference.
+func (s *Synthesizer) referenceComplexifyAccess(varName, prop string, intended value.Value, competitors []value.Value, depth int) (ast.Expr, value.Value) {
+	var exp ast.Expr = ast.Prop(varName, prop)
+	v1 := intended
+	for d := 0; d < depth; d++ {
+		cls := functions.ClassOf(v1)
+		var candidates []exprTemplate
+		for _, t := range nestTemplates {
+			if t.accepts.Accepts(cls) {
+				candidates = append(candidates, t)
+			}
+		}
+		if len(candidates) == 0 {
+			break
+		}
+		t := candidates[s.r.Intn(len(candidates))]
+		newExp := t.build(s.r, exp)
+		nv1, err := s.evalConst(newExp, varName, wrapAccessValue(prop, intended))
+		if err != nil {
+			continue
+		}
+		distinct := true
+		for _, c := range competitors {
+			nc, err := s.evalConst(newExp, varName, wrapAccessValue(prop, c))
+			if err != nil || value.Equivalent(nc, nv1) {
+				distinct = false
+				break
+			}
+		}
+		if !distinct {
+			continue
+		}
+		exp, v1 = newExp, nv1
+	}
+	return exp, v1
+}
+
+// randAlg2Value draws a value of the given kind from small domains, so
+// that competitors often collide with the intended value or with each
+// other after a template. Floats are often integral, so int/float pairs
+// such as 1 and 1.0 (Equivalent, but distinguished by toString) occur.
+func randAlg2Value(r *rand.Rand, kind int) value.Value {
+	switch kind {
+	case 0:
+		return value.Int(int64(r.Intn(41) - 20))
+	case 1:
+		switch r.Intn(8) {
+		case 0:
+			return value.Float(math.Copysign(0, -1))
+		case 1:
+			return value.Float(math.NaN())
+		}
+		return value.Float(float64(r.Intn(41)-20) / 2)
+	case 2:
+		return value.Str(randString(rand.New(rand.NewSource(int64(r.Intn(6)))), r.Intn(4)))
+	case 3:
+		return value.Bool(r.Intn(2) == 0)
+	case 4:
+		n := r.Intn(4)
+		elems := make([]value.Value, n)
+		for i := range elems {
+			elems[i] = randAlg2Value(r, r.Intn(3))
+		}
+		return value.ListOf(elems)
+	default:
+		return value.Null
+	}
+}
+
+// alg2Competitors draws n competitors for intended: mostly of its kind,
+// some of another kind (which makes kind-specific templates such as
+// abs, reverse or size error on them), and for numbers some of the other
+// numeric kind with an equal value.
+func alg2Competitors(r *rand.Rand, kind int, intended value.Value, n int) []value.Value {
+	comps := make([]value.Value, 0, n)
+	for len(comps) < n {
+		switch p := r.Intn(10); {
+		case p < 6:
+			comps = append(comps, randAlg2Value(r, kind))
+		case p < 8:
+			comps = append(comps, randAlg2Value(r, r.Intn(6)))
+		default:
+			switch intended.Kind() {
+			case value.KindInt:
+				comps = append(comps, value.Float(float64(intended.AsInt())))
+			case value.KindFloat:
+				if f := intended.AsFloat(); f == math.Trunc(f) && !math.IsInf(f, 0) {
+					comps = append(comps, value.Int(int64(f)))
+					continue
+				}
+				comps = append(comps, randAlg2Value(r, kind))
+			default:
+				comps = append(comps, randAlg2Value(r, kind))
+			}
+		}
+	}
+	return comps
+}
+
+// TestComplexifyIncrementalMatchesReference runs complexifyAccess and the
+// full re-evaluating reference from identically seeded synthesizers over
+// random (intended, competitors, depth) cases of every value kind,
+// including empty and 10k-element competitor sets, and requires the same
+// expression text, the same value and the same RNG state afterwards.
+func TestComplexifyIncrementalMatchesReference(t *testing.T) {
+	ref, _ := newTestSynth(11)
+	inc, _ := newTestSynth(11)
+	in := rand.New(rand.NewSource(12))
+	sizes := func(trial int) int {
+		switch {
+		case trial%500 == 0:
+			return 10000
+		case trial%7 == 0:
+			return 0
+		}
+		return 1 + in.Intn(12)
+	}
+	accepted := 0
+	for trial := 0; trial < 4000; trial++ {
+		kind := in.Intn(5)
+		intended := randAlg2Value(in, kind)
+		comps := alg2Competitors(in, kind, intended, sizes(trial))
+		depth := in.Intn(8)
+		desc := fmt.Sprintf("trial %d: intended=%v, %d competitors, depth %d", trial, intended, len(comps), depth)
+
+		wantExp, wantV := ref.referenceComplexifyAccess("x", "id", intended, comps, depth)
+		gotExp, gotV := inc.complexifyAccess("x", "id", intended, comps, depth)
+		if got, want := ast.ExprString(gotExp), ast.ExprString(wantExp); got != want {
+			t.Fatalf("%s: expression %s, reference %s", desc, got, want)
+		}
+		if gotV.Kind() != wantV.Kind() || gotV.String() != wantV.String() || !value.Equivalent(gotV, wantV) {
+			t.Fatalf("%s: value %v (%s), reference %v (%s)", desc, gotV, gotV.Kind(), wantV, wantV.Kind())
+		}
+		if got, want := inc.r.Int63(), ref.r.Int63(); got != want {
+			t.Fatalf("%s: next RNG draw %d, reference %d", desc, got, want)
+		}
+		if _, plain := gotExp.(*ast.PropAccess); !plain {
+			accepted++
+		}
+	}
+	// The case mix must actually exercise nesting, not only rejections.
+	if accepted < 1000 {
+		t.Fatalf("only %d of 4000 cases accepted any nesting", accepted)
 	}
 }

@@ -1,0 +1,32 @@
+package core
+
+import (
+	"math/rand"
+	"testing"
+
+	"gqs/internal/cypher/ast"
+	"gqs/internal/graph"
+)
+
+// BenchmarkPinPredicateScale measures one uniquifying pin on a 10k-node
+// bulk graph: an unlabeled node variable, so every other node competes,
+// rendered at the default expression depth. Its cost per operation is
+// Algorithm 2's per-competitor cost times the graph size.
+func BenchmarkPinPredicateScale(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	g, schema := graph.Generate(r, graph.GenConfig{Scale: 10000})
+	syn := NewSynthesizer(r, g, schema, DefaultConfig())
+	intended := g.NodeIDs()[0]
+	p := pin{
+		varName:     "n0",
+		elem:        elemRef{id: intended},
+		competitors: syn.nodeCompetitors(&ast.NodePattern{Variable: "n0"}, intended),
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchPinSink = syn.pinPredicate(p, syn.cfg.ExprDepth)
+	}
+}
+
+var benchPinSink ast.Expr

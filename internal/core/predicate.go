@@ -75,12 +75,18 @@ func (s *Synthesizer) uniquify(chains []*encChain, inScope map[string]graph.ID, 
 		for v, id := range inScope {
 			fixed[v] = id
 		}
+		// Competitor sets cost a scan of the whole graph, so they are
+		// computed only for variables that are not yet fixed.
 		for _, ec := range chains {
 			for i, np := range ec.part.Nodes {
-				pinVar(np.Variable, elemRef{id: ec.nodeIDs[i]}, s.nodeCompetitors(np, ec.nodeIDs[i]))
+				if _, done := fixed[np.Variable]; !done {
+					pinVar(np.Variable, elemRef{id: ec.nodeIDs[i]}, s.nodeCompetitors(np, ec.nodeIDs[i]))
+				}
 			}
 			for i, rp := range ec.part.Rels {
-				pinVar(rp.Variable, elemRef{id: ec.relIDs[i], isRel: true}, s.relCompetitors(rp, ec.relIDs[i]))
+				if _, done := fixed[rp.Variable]; !done {
+					pinVar(rp.Variable, elemRef{id: ec.relIDs[i], isRel: true}, s.relCompetitors(rp, ec.relIDs[i]))
+				}
 			}
 		}
 	}
@@ -171,31 +177,41 @@ func (s *Synthesizer) segmentCandidates(from graph.ID, rp *ast.RelPattern, toPat
 // nodeCompetitors returns the other nodes satisfying the encoded label
 // constraints of the pattern node.
 func (s *Synthesizer) nodeCompetitors(np *ast.NodePattern, intended graph.ID) []elemRef {
+	ids := s.g.NodeIDs()
 	var out []elemRef
-	for _, id := range s.g.NodeIDs() {
+	if len(np.Labels) == 0 {
+		out = make([]elemRef, 0, len(ids))
+	}
+	for _, id := range ids {
 		if id == intended {
 			continue
 		}
-		n := s.g.Node(id)
-		ok := true
-		for _, l := range np.Labels {
-			if !n.HasLabel(l) {
-				ok = false
-				break
-			}
+		if len(np.Labels) > 0 && !hasLabels(s.g.Node(id), np.Labels) {
+			continue
 		}
-		if ok {
-			out = append(out, elemRef{id: id})
-		}
+		out = append(out, elemRef{id: id})
 	}
 	return out
+}
+
+func hasLabels(n *graph.Node, labels []string) bool {
+	for _, l := range labels {
+		if !n.HasLabel(l) {
+			return false
+		}
+	}
+	return true
 }
 
 // relCompetitors returns the other relationships satisfying the encoded
 // type constraints.
 func (s *Synthesizer) relCompetitors(rp *ast.RelPattern, intended graph.ID) []elemRef {
+	ids := s.g.RelIDs()
 	var out []elemRef
-	for _, id := range s.g.RelIDs() {
+	if len(rp.Types) == 0 {
+		out = make([]elemRef, 0, len(ids))
+	}
+	for _, id := range ids {
 		if id == intended {
 			continue
 		}

@@ -74,13 +74,15 @@ type Synthesizer struct {
 	history   []*Path
 	elemScope map[string]graph.ID
 
-	// constCtx, constEnv, and constWrap are the reusable scratch state of
-	// evalConst/wrapAccess: synthesis is single-threaded, and evaluation
-	// retains neither the context nor the maps in its result (results
-	// only alias the substituted property values, which the caller owns).
-	constCtx  eval.Ctx
-	constEnv  map[string]value.Value
-	constWrap map[string]value.Value
+	// constCtx and constFrame are the reusable evaluation state of
+	// Algorithm 2's rounds (complexifyAccess): synthesis is
+	// single-threaded, and evaluation retains neither in its result.
+	constCtx   eval.Ctx
+	constFrame []value.Value
+	// pinVals, compCur and compNext are per-pin competitor scratch: the
+	// competitors' property values, and their running values under the
+	// accepted nest and under the round being tried.
+	pinVals, compCur, compNext []value.Value
 	// tmplScratch is the reusable candidate buffer of complexifyAccess's
 	// template filter; the selection only reads the current round's
 	// contents, so the backing array carries over between rounds.

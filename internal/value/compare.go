@@ -24,7 +24,7 @@ func Equal(a, b Value) Tri {
 	}
 	switch a.kind {
 	case KindBool:
-		return TriOf(a.b == b.b)
+		return TriOf(a.i == b.i)
 	case KindString:
 		return TriOf(a.s == b.s)
 	case KindNode, KindRel:
@@ -95,7 +95,7 @@ func Compare(a, b Value) (int, Tri) {
 	case a.kind == KindString && b.kind == KindString:
 		return strings.Compare(a.s, b.s), TriTrue
 	case a.kind == KindBool && b.kind == KindBool:
-		return cmpBool(a.b, b.b), TriTrue
+		return cmpInt(a.i, b.i), TriTrue // false (0) before true (1)
 	case a.kind == KindList && b.kind == KindList:
 		// Lists compare lexicographically when every paired element is
 		// comparable; otherwise the comparison is undefined.
@@ -163,17 +163,6 @@ func cmpFloat(a, b float64) int {
 	}
 }
 
-func cmpBool(a, b bool) int {
-	switch {
-	case a == b:
-		return 0
-	case !a:
-		return -1
-	default:
-		return 1
-	}
-}
-
 // Equivalent implements Cypher's equivalence relation, used by DISTINCT,
 // grouping keys, and aggregation: like Equal but null is equivalent to
 // null and NaN is equivalent to NaN.
@@ -189,7 +178,7 @@ func Equivalent(a, b Value) bool {
 	}
 	switch a.kind {
 	case KindBool:
-		return a.b == b.b
+		return a.i == b.i
 	case KindString:
 		return a.s == b.s
 	case KindNode, KindRel:
@@ -229,16 +218,17 @@ func numericEquivalent(a, b Value) bool {
 		if a.kind == KindInt {
 			return a.i == b.i
 		}
-		if math.IsNaN(a.f) || math.IsNaN(b.f) {
-			return math.IsNaN(a.f) && math.IsNaN(b.f)
+		af, bf := a.float(), b.float()
+		if math.IsNaN(af) || math.IsNaN(bf) {
+			return math.IsNaN(af) && math.IsNaN(bf)
 		}
-		return a.f == b.f
+		return af == bf
 	}
 	// Mixed int/float: normalize so a is the int.
 	if a.kind == KindFloat {
 		a, b = b, a
 	}
-	i, ok := exactInt(b.f)
+	i, ok := exactInt(b.float())
 	return ok && i == a.i
 }
 
@@ -312,10 +302,8 @@ func OrderCompare(a, b Value) int {
 		return cmpInt(int64(a.kind), int64(b.kind))
 	case a.kind == KindString:
 		return strings.Compare(a.s, b.s)
-	case a.kind == KindBool:
-		return cmpBool(a.b, b.b)
-	case a.kind == KindNode || a.kind == KindRel:
-		return cmpInt(a.i, b.i)
+	case a.kind == KindBool, a.kind == KindNode || a.kind == KindRel:
+		return cmpInt(a.i, b.i) // booleans: false (0) before true (1)
 	case a.kind == KindList:
 		n := len(a.list)
 		if len(b.list) < n {
@@ -366,7 +354,7 @@ func (v Value) writeKey(sb *strings.Builder) {
 	case KindNull:
 		sb.WriteByte('_')
 	case KindBool:
-		if v.b {
+		if v.i != 0 {
 			sb.WriteString("bT")
 		} else {
 			sb.WriteString("bF")
@@ -378,14 +366,15 @@ func (v Value) writeKey(sb *strings.Builder) {
 		sb.WriteString(strconv.FormatInt(v.i, 10))
 	case KindFloat:
 		sb.WriteByte('n')
+		f := v.float()
 		switch {
-		case math.IsNaN(v.f):
+		case math.IsNaN(f):
 			sb.WriteString("NaN")
 		default:
-			if i, ok := exactInt(v.f); ok {
+			if i, ok := exactInt(f); ok {
 				sb.WriteString(strconv.FormatInt(i, 10))
 			} else {
-				sb.WriteString(strconv.FormatFloat(v.f, 'g', -1, 64))
+				sb.WriteString(strconv.FormatFloat(f, 'g', -1, 64))
 			}
 		}
 	case KindString:

@@ -151,7 +151,7 @@ func Neg(a Value) (Value, error) {
 	case KindInt:
 		return Int(-a.i), nil
 	case KindFloat:
-		return Float(-a.f), nil
+		return Float(-a.float()), nil
 	}
 	return Null, typeErr("-", a, a)
 }

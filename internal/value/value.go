@@ -61,11 +61,16 @@ func (k Kind) String() string {
 }
 
 // Value is a Cypher runtime value. The zero Value is null.
+//
+// The scalar payloads share one word: i holds an integer, a node or
+// relationship identifier, a boolean as 0 or 1, or a float's IEEE-754 bits
+// (math.Float64bits). That keeps a Value at 64 bytes, which the Go
+// compiler copies with inline moves rather than a duffcopy call; values
+// are passed and returned by value on every evaluation path
+// (TestValueSize guards the size).
 type Value struct {
 	kind Kind
-	b    bool
-	i    int64 // integers and node/relationship identifiers
-	f    float64
+	i    int64
 	s    string
 	list []Value
 	m    map[string]Value
@@ -76,18 +81,23 @@ var Null = Value{kind: KindNull}
 
 // True and False are the boolean constants.
 var (
-	True  = Value{kind: KindBool, b: true}
-	False = Value{kind: KindBool, b: false}
+	True  = Value{kind: KindBool, i: 1}
+	False = Value{kind: KindBool, i: 0}
 )
 
 // Bool returns a boolean value.
-func Bool(b bool) Value { return Value{kind: KindBool, b: b} }
+func Bool(b bool) Value {
+	if b {
+		return True
+	}
+	return False
+}
 
 // Int returns an integer value.
 func Int(i int64) Value { return Value{kind: KindInt, i: i} }
 
 // Float returns a float value.
-func Float(f float64) Value { return Value{kind: KindFloat, f: f} }
+func Float(f float64) Value { return Value{kind: KindFloat, i: int64(math.Float64bits(f))} }
 
 // String_ returns a string value. (Named with a trailing underscore because
 // String is the Stringer method.)
@@ -123,19 +133,34 @@ func (v Value) IsNumber() bool { return v.kind == KindInt || v.kind == KindFloat
 // IsEntity reports whether the value is a node or relationship reference.
 func (v Value) IsEntity() bool { return v.kind == KindNode || v.kind == KindRel }
 
-// AsBool returns the boolean payload; it must only be called when Kind is KindBool.
-func (v Value) AsBool() bool { return v.b }
+// AsBool returns the boolean payload; it must only be called when Kind is
+// KindBool. Any other kind reads false.
+func (v Value) AsBool() bool { return v.kind == KindBool && v.i != 0 }
 
-// AsInt returns the integer payload; it must only be called when Kind is KindInt.
-func (v Value) AsInt() int64 { return v.i }
-
-// AsFloat returns the float payload; for integers it returns the converted value.
-func (v Value) AsFloat() float64 {
-	if v.kind == KindInt {
-		return float64(v.i)
+// AsInt returns the integer payload; it must only be called when Kind is
+// KindInt (node and relationship values read their identifier). Booleans
+// and floats, whose payloads share the same word, read 0.
+func (v Value) AsInt() int64 {
+	if v.kind == KindBool || v.kind == KindFloat {
+		return 0
 	}
-	return v.f
+	return v.i
 }
+
+// AsFloat returns the float payload; for integers it returns the converted
+// value. Any other kind reads 0.
+func (v Value) AsFloat() float64 {
+	switch v.kind {
+	case KindInt:
+		return float64(v.i)
+	case KindFloat:
+		return v.float()
+	}
+	return 0
+}
+
+// float decodes the float payload; only meaningful when Kind is KindFloat.
+func (v Value) float() float64 { return math.Float64frombits(uint64(v.i)) }
 
 // AsString returns the string payload; it must only be called when Kind is KindString.
 func (v Value) AsString() string { return v.s }
@@ -242,7 +267,7 @@ func (v Value) Truth() (t Tri, ok bool) {
 	case KindNull:
 		return TriUnknown, true
 	case KindBool:
-		return TriOf(v.b), true
+		return TriOf(v.i != 0), true
 	default:
 		return TriUnknown, false
 	}
@@ -268,11 +293,11 @@ func (v Value) format(sb *strings.Builder) {
 	case KindNull:
 		sb.WriteString("null")
 	case KindBool:
-		sb.WriteString(strconv.FormatBool(v.b))
+		sb.WriteString(strconv.FormatBool(v.i != 0))
 	case KindInt:
 		sb.WriteString(strconv.FormatInt(v.i, 10))
 	case KindFloat:
-		formatFloat(sb, v.f)
+		formatFloat(sb, v.float())
 	case KindString:
 		sb.WriteByte('\'')
 		sb.WriteString(escapeString(v.s))
