@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench bench-regress bench-go profile verify smoke crashtest plandiff
+.PHONY: build test vet race bench bench-regress bench-go profile verify smoke crashtest plandiff perfbench-build
 
 build:
 	$(GO) build ./...
@@ -64,10 +64,17 @@ profile:
 crashtest:
 	$(GO) test -race -count=3 -run 'TestKillResumeDifferential|TestMidWriteKillResume' ./internal/experiments/
 
-# Tier-1 verification gate (see ROADMAP.md), plus the crash-safety
-# differential, the planned-vs-interpreted differential, and the
-# perf-regression gate over the recorded BENCH_*.json history.
-verify: build vet test race crashtest plandiff bench-regress
+# perfbench is a nested module, so the root `go build ./...` never
+# compiles it, yet it imports core and gdb directly: build and vet it
+# so an API change that breaks the benchmark fails here.
+perfbench-build:
+	cd perfbench && $(GO) build ./... && $(GO) vet ./...
+
+# Tier-1 verification gate (see ROADMAP.md), plus the benchmark module
+# build, the crash-safety differential, the planned-vs-interpreted
+# differential, and the perf-regression gate over the recorded
+# BENCH_*.json history.
+verify: build vet test race perfbench-build crashtest plandiff bench-regress
 
 # Short resilient-campaign smoke under the race detector: live faults,
 # flaky connection, watchdog timeouts — the hardened-runner acceptance.

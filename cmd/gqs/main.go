@@ -12,9 +12,9 @@
 //
 // With -checkpoint the campaign journals completed work units to a
 // crash-safe file; SIGINT/SIGTERM drain in-flight work, write a final
-// checkpoint, and exit 0, and -resume fast-forwards a new run past
-// everything already completed — to the byte-identical results an
-// uninterrupted run would have produced.
+// checkpoint, and exit 0, and -resume skips everything already
+// completed — to the byte-identical results an uninterrupted run would
+// have produced.
 package main
 
 import (
@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"runtime"
@@ -54,27 +55,38 @@ type options struct {
 	noPlan     bool
 	workers    int
 	batch      int
+	ckEvery    int
 }
 
-// resolvedBatch is the effective work-unit size of the sharded
-// executor: -batch when given, else ~4 units per worker (clamped to
-// [1, 16]). A pure function of the options — it feeds the checkpoint
-// fingerprint, which must not depend on the machine.
+// validate rejects option values the campaign cannot run with. It
+// checks only the numeric flags whose bad values would otherwise panic
+// or silently do nothing useful.
+func validate(o options) error {
+	switch {
+	case o.iterations < 0:
+		return fmt.Errorf("-iterations must be >= 0, got %d", o.iterations)
+	case o.workers < 1:
+		return fmt.Errorf("-workers must be >= 1, got %d", o.workers)
+	case o.batch < 0:
+		return fmt.Errorf("-batch must be >= 0 (0 = automatic), got %d", o.batch)
+	case o.graphScale < 0:
+		return fmt.Errorf("-graph-scale must be >= 0 (0 = small-graph generator), got %d", o.graphScale)
+	case o.ckEvery < 1:
+		return fmt.Errorf("-checkpoint-every must be >= 1, got %d", o.ckEvery)
+	case math.IsNaN(o.flaky) || o.flaky < 0 || o.flaky > 1:
+		return fmt.Errorf("-flaky must be in [0, 1], got %g", o.flaky)
+	}
+	return nil
+}
+
+// resolvedBatch is the effective work-unit size: -batch when given, else
+// core.AutoBatch. A pure function of the options — it feeds the
+// checkpoint fingerprint, which must not depend on the machine.
 func (o options) resolvedBatch() int {
 	if o.batch > 0 {
 		return o.batch
 	}
-	if o.workers < 1 {
-		return 1
-	}
-	b := o.iterations / (o.workers * 4)
-	if b < 1 {
-		b = 1
-	}
-	if b > 16 {
-		b = 16
-	}
-	return b
+	return core.AutoBatch(o.iterations, o.workers)
 }
 
 func main() {
@@ -94,19 +106,13 @@ func main() {
 		flaky      = flag.Float64("flaky", 0, "inject transient connector errors at this rate (0..1) to exercise the retry machinery")
 		live       = flag.Bool("live", false, "manifest injected faults live: hangs block until the deadline, crashes panic in the connector")
 		noPlan     = flag.Bool("no-plan", false, "execute prepared queries on the interpreter instead of compiled plans (differential debugging; the bug set is identical either way)")
-		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "worker-pool size for the sharded executor; the reported bug set is identical for every value at the same seed (0 = legacy sequential runner)")
-		batchSize  = flag.Int("batch", 0, "iterations per work unit in the sharded executor (0 = automatic, ~4 units per worker); the reported bug set is identical for every value")
+		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "worker-pool size (>= 1); the reported bug set is identical for every value at the same seed")
+		batchSize  = flag.Int("batch", 0, "iterations per work unit (0 = automatic, ~4 units per worker); the reported bug set is identical for every value")
 		checkpoint = flag.String("checkpoint", "", "journal completed work units to this file for crash-safe resume")
-		ckEvery    = flag.Int("checkpoint-every", 10, "flush a checkpoint snapshot every N completed units (shards or iterations)")
+		ckEvery    = flag.Int("checkpoint-every", 10, "flush a checkpoint snapshot every N completed work units")
 		resume     = flag.Bool("resume", false, "resume the campaign recorded in -checkpoint (refused if the configuration changed)")
 	)
 	flag.Parse()
-	if *reportDir != "" {
-		if err := os.MkdirAll(*reportDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "gqs: %v\n", err)
-			os.Exit(1)
-		}
-	}
 	opts := options{
 		seed: *seed, iterations: *iterations,
 		maxNodes: *maxNodes, maxRels: *maxRels,
@@ -115,7 +121,17 @@ func main() {
 		verbose:    *verbose, reportDir: *reportDir,
 		timeout: *timeout, retries: *retries,
 		flaky: *flaky, live: *live, noPlan: *noPlan,
-		workers: *workers, batch: *batchSize,
+		workers: *workers, batch: *batchSize, ckEvery: *ckEvery,
+	}
+	if err := validate(opts); err != nil {
+		fmt.Fprintf(os.Stderr, "gqs: %v\n", err)
+		os.Exit(2)
+	}
+	if *reportDir != "" {
+		if err := os.MkdirAll(*reportDir, 0o755); err != nil {
+			fmt.Fprintf(os.Stderr, "gqs: %v\n", err)
+			os.Exit(1)
+		}
 	}
 
 	names := []string{*gdbName}
@@ -132,9 +148,6 @@ func main() {
 
 	var ck *core.Checkpointer
 	if *checkpoint != "" {
-		if opts.flaky > 0 && opts.workers == 0 {
-			fmt.Fprintln(os.Stderr, "gqs: warning: the sequential executor's flaky stream spans the whole campaign and cannot be fast-forwarded; a resumed run will see a different fault schedule (use -workers >= 1 for resumable flaky campaigns)")
-		}
 		var err error
 		ck, err = core.OpenCheckpoint(core.CheckpointConfig{
 			Path: *checkpoint, Every: *ckEvery, Resume: *resume,
@@ -156,11 +169,7 @@ func main() {
 		if ctx.Err() != nil {
 			break
 		}
-		runner := run
-		if opts.workers > 0 {
-			runner = runParallel
-		}
-		if err := runner(ctx, name, opts, ck); err != nil {
+		if err := testGDB(ctx, name, opts, ck); err != nil {
 			fmt.Fprintf(os.Stderr, "gqs: %s: %v\n", name, err)
 			exit = 1
 		}
@@ -194,10 +203,6 @@ func main() {
 // enforces it), so a campaign checkpointed under one may resume under
 // the other.
 func fingerprint(names []string, o options) string {
-	mode, workers := "sequential", 0
-	if o.workers > 0 {
-		mode, workers = "sharded", o.workers
-	}
 	targets := strings.Join(names, ",")
 	if o.live {
 		targets += " live"
@@ -205,12 +210,11 @@ func fingerprint(names []string, o options) string {
 	if o.flaky > 0 {
 		targets += fmt.Sprintf(" flaky=%g", o.flaky)
 	}
-	return core.CampaignFingerprint(mode, targets, faults.CatalogFingerprint(),
-		workers, o.resolvedBatch(), o.iterations, runnerConfig(o))
+	return core.CampaignFingerprint("sharded", targets, faults.CatalogFingerprint(),
+		o.workers, o.resolvedBatch(), o.iterations, runnerConfig(o))
 }
 
-// runnerConfig translates the flags into the runner configuration both
-// executors share.
+// runnerConfig translates the flags into the runner configuration.
 func runnerConfig(o options) core.RunnerConfig {
 	cfg := core.DefaultRunnerConfig()
 	cfg.Seed = o.seed
@@ -261,7 +265,7 @@ func captureDetection(name string, target core.Target, tc *core.TestCase, report
 
 // emitDetection prints one detection (live or restored) and writes its
 // report file on first sight of the bug.
-func emitDetection(name string, shard int, shardIndexed bool, d cmdDetection, o options, found map[string]bool) {
+func emitDetection(name string, shard int, d cmdDetection, o options, found map[string]bool) {
 	tag := "UNATTRIBUTED"
 	fresh := true
 	if d.Bug != "" {
@@ -278,11 +282,7 @@ func emitDetection(name string, shard int, shardIndexed bool, d cmdDetection, o 
 	if !fresh && !o.verbose {
 		return
 	}
-	if shardIndexed {
-		fmt.Printf("[%s] %s (shard %d, query #%d, %d steps)\n", d.Verdict, tag, shard, d.Seq, d.Steps)
-	} else {
-		fmt.Printf("[%s] %s (query #%d, %d steps)\n", d.Verdict, tag, d.Seq, d.Steps)
-	}
+	fmt.Printf("[%s] %s (shard %d, query #%d, %d steps)\n", d.Verdict, tag, shard, d.Seq, d.Steps)
 	if d.Desc != "" {
 		fmt.Printf("  %s\n", d.Desc)
 	}
@@ -290,22 +290,6 @@ func emitDetection(name string, shard int, shardIndexed bool, d cmdDetection, o 
 		fmt.Printf("  query: %s\n", d.Query)
 		fmt.Printf("%s\n", d.Detail)
 	}
-}
-
-func encodeDetections(ds []cmdDetection) json.RawMessage {
-	p, err := json.Marshal(ds)
-	if err != nil {
-		return nil
-	}
-	return p
-}
-
-func decodeDetections(data json.RawMessage) []cmdDetection {
-	var ds []cmdDetection
-	if len(data) > 0 {
-		json.Unmarshal(data, &ds) //nolint:errcheck // corrupt payload ⇒ no replayed output
-	}
-	return ds
 }
 
 // encodeDetectionUnits / decodeDetectionUnits are the work-unit payload
@@ -329,12 +313,12 @@ func decodeDetectionUnits(data json.RawMessage, count int) [][]cmdDetection {
 	return out
 }
 
-// runParallel is the sharded executor path (-workers >= 1): iterations
-// fan out across a worker pool, detections are buffered per shard, and
-// the output is printed in canonical shard order — so it is identical
-// for every worker count at the same seed, and across kill/resume
+// testGDB tests one GDB on the sharded executor: iterations fan out
+// across a worker pool, detections are buffered per shard, and the
+// output is printed in canonical shard order — so it is identical for
+// every worker count at the same seed, and across kill/resume
 // boundaries.
-func runParallel(ctx context.Context, name string, o options, ck *core.Checkpointer) error {
+func testGDB(ctx context.Context, name string, o options, ck *core.Checkpointer) error {
 	if _, err := gdb.ByName(name); err != nil {
 		return err // reject unknown names before spinning up a pool
 	}
@@ -386,7 +370,7 @@ func runParallel(ctx context.Context, name string, o options, ck *core.Checkpoin
 	found := map[string]bool{}
 	for shard, dets := range logs {
 		for _, d := range dets {
-			emitDetection(name, shard, true, d, o, found)
+			emitDetection(name, shard, d, o, found)
 		}
 	}
 	for range found {
@@ -405,62 +389,7 @@ func runParallel(ctx context.Context, name string, o options, ck *core.Checkpoin
 	return nil
 }
 
-// run is the legacy sequential executor path (-workers 0): one runner,
-// one RNG stream, detections printed as they happen. With a checkpoint,
-// each completed iteration is journaled and a resumed run replays the
-// restored iterations' output before continuing live.
-func run(ctx context.Context, name string, o options, ck *core.Checkpointer) error {
-	sim, err := gdb.ByName(name)
-	if err != nil {
-		return err
-	}
-	defer sim.Close()
-	sim.SetLiveFaults(o.live)
-	sim.SetPlanExecution(!o.noPlan)
-
-	var target gdb.Connector = sim
-	if o.flaky > 0 {
-		target = gdb.NewFlaky(sim, gdb.FlakyConfig{
-			Seed:           o.seed + 0x5eed,
-			ErrorRate:      o.flaky,
-			ResetErrorRate: o.flaky / 2,
-		})
-	}
-
-	cfg := runnerConfig(o)
-
-	fmt.Printf("=== testing %s (seed %d, %d iterations) ===\n", name, o.seed, o.iterations)
-	found := map[string]bool{}
-	var cur []cmdDetection // the in-flight iteration's detections
-	hooks := core.DurableHooks{
-		Payload: func(string, int, int) json.RawMessage {
-			p := encodeDetections(cur)
-			cur = nil
-			return p
-		},
-		Restore: func(u core.UnitRecord) {
-			for _, d := range decodeDetections(u.Payload) {
-				emitDetection(name, 0, false, d, o, found)
-			}
-		},
-	}
-	stats, err := core.RunCheckpointedSequential(ctx, target, cfg, o.iterations, name, ck, hooks,
-		func(tc *core.TestCase) {
-			d, ok := captureDetection(name, target, tc, o.reportDir)
-			if !ok {
-				return
-			}
-			cur = append(cur, d)
-			emitDetection(name, 0, false, d, o, found)
-		})
-	if err != nil {
-		return err
-	}
-	printSummary(name, stats, len(found))
-	return nil
-}
-
-// printSummary renders the per-GDB closing lines both executors share.
+// printSummary renders the per-GDB closing lines.
 func printSummary(name string, stats core.Stats, distinct int) {
 	fmt.Printf("%s: %d queries, %d passed, %d logic-bug reports, %d error reports, %d skipped; %d distinct bugs; %.1fs\n",
 		name, stats.Queries, stats.Passes, stats.LogicBugs, stats.ErrorBugs, stats.Skips,
@@ -478,7 +407,7 @@ func printSummary(name string, stats core.Stats, distinct int) {
 			rb.AbandonedGraphs, rb.Downtime.Round(time.Millisecond))
 	}
 	if ckWritten > 0 || ckFF > 0 {
-		fmt.Printf("%s: checkpoint: %d snapshots (%d bytes), %d units fast-forwarded on resume\n",
+		fmt.Printf("%s: checkpoint: %d snapshots (%d bytes), %d iterations restored on resume\n",
 			name, ckWritten, ckBytes, ckFF)
 	}
 }

@@ -226,10 +226,10 @@ func WithRobustness(rc RobustnessConfig) TesterOption {
 }
 
 // WithWorkers sets the worker-pool size of a sharded tester
-// (NewShardedTester); 0 selects GOMAXPROCS. The merged Stats are
+// (NewShardedTester); <= 0 selects GOMAXPROCS. The merged Stats are
 // identical for every worker count at the same seed — only wall-clock
-// time changes. Ignored by NewTester, whose single shared target cannot
-// be driven concurrently.
+// time changes. Ignored by NewTester, whose single target cannot be
+// driven concurrently: its RunContext always uses one worker.
 func WithWorkers(n int) TesterOption {
 	return func(c *testerConfig) { c.workers = n }
 }
@@ -238,28 +238,30 @@ func WithWorkers(n int) TesterOption {
 // worker drains is n contiguous logical iterations, amortizing per-unit
 // scheduling and checkpoint costs. The merged Stats are identical for
 // every batch size at the same seed — batching changes scheduling, not
-// results. <= 0 (the default) keeps one iteration per unit. Ignored by
-// NewTester.
+// results. <= 0 (the default) keeps one iteration per unit. Plain Run
+// on a NewTester ignores it.
 func WithBatch(n int) TesterOption {
 	return func(c *testerConfig) { c.batch = n }
 }
 
-// WithCheckpoint journals completed work units (iterations, or shards on
-// a sharded tester) to a crash-safe append-only file, flushing a snapshot
-// every `every` completed units (<= 0 means every unit). A RunContext
-// canceled mid-campaign leaves the journal resumable; see WithResume.
-// Only RunContext honors the journal — plain Run ignores it.
+// WithCheckpoint journals completed work units (WithBatch contiguous
+// iterations each, one by default) to a crash-safe append-only file,
+// flushing a snapshot every `every` completed units (<= 0 means every
+// unit). A RunContext canceled mid-campaign leaves the journal
+// resumable; see WithResume. Only RunContext honors the journal — plain
+// Run ignores it.
 func WithCheckpoint(path string, every int) TesterOption {
 	return func(c *testerConfig) { c.ckPath, c.ckEvery = path, every }
 }
 
 // WithResume makes RunContext resume the campaign recorded in the
-// WithCheckpoint journal: completed units are restored from the journal
-// (their stats fold into the returned Stats, but their test cases are
-// not re-reported) and the RNG fast-forwards past them, so the combined
-// outcome is identical to an uninterrupted run. Resume is refused with
-// ErrFingerprintMismatch if the tester configuration, iteration count,
-// or mode changed since the journal was written.
+// WithCheckpoint journal: completed units are skipped and their recorded
+// stats fold into the returned Stats (their test cases are not
+// re-reported). Every iteration draws from its own seed, derived from
+// (WithSeed, iteration index), so the combined outcome is identical to
+// an uninterrupted run. Resume is refused with ErrFingerprintMismatch if
+// the tester configuration, iteration count, worker count or batch size
+// changed since the journal was written.
 func WithResume() TesterOption {
 	return func(c *testerConfig) { c.ckResume = true }
 }
@@ -307,38 +309,48 @@ func (t *Tester) Run(n int, report func(*TestCase)) (Stats, error) {
 		Workers: t.cfg.workers, Iterations: n,
 		Batch: t.cfg.resolvedBatch(), Runner: t.cfg.runner,
 	}
-	var observe func(int, core.Target, *core.TestCase)
-	if report != nil {
-		var mu sync.Mutex
-		observe = func(_ int, _ core.Target, tc *core.TestCase) {
-			mu.Lock()
-			defer mu.Unlock()
-			report(tc)
-		}
-	}
-	ps := core.RunParallel(pcfg, t.factory, observe)
+	ps := core.RunParallel(pcfg, t.factory, serialized(report))
 	return ps.Stats, nil
 }
 
+// serialized adapts a report callback to the executor's observer,
+// serializing calls from concurrent shards; nil stays nil.
+func serialized(report func(*TestCase)) func(int, core.Target, *core.TestCase) {
+	if report == nil {
+		return nil
+	}
+	var mu sync.Mutex
+	return func(_ int, _ core.Target, tc *core.TestCase) {
+		mu.Lock()
+		defer mu.Unlock()
+		report(tc)
+	}
+}
+
 // RunContext is Run under a cancelable context and the WithCheckpoint /
-// WithResume options. Unlike Run — which on a sequential tester continues
-// the same runner state across calls — RunContext always executes a
-// self-contained campaign of n iterations derived from WithSeed (the
-// determinism a resumable journal requires). Cancellation stops between
-// work units, flushes a final checkpoint, and returns the partial Stats
-// with a nil error; resuming later completes the campaign as if it had
-// never been interrupted.
+// WithResume options. It always runs on the sharded executor: iteration
+// i draws from a seed derived from (WithSeed, i), the determinism a
+// resumable journal requires. So unlike Run — which on a NewTester
+// continues the same runner state across calls — RunContext executes a
+// self-contained campaign of n iterations. A NewTester's target runs
+// every iteration on one worker and is left open. Cancellation stops
+// between work units, flushes a final checkpoint, and returns the
+// partial Stats with a nil error; resuming later completes the campaign
+// as if it had never been interrupted.
 func (t *Tester) RunContext(ctx context.Context, n int, report func(*TestCase)) (Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	pcfg := core.ParallelConfig{
+		Workers: t.cfg.workers, Iterations: n,
+		Batch: t.cfg.resolvedBatch(), Runner: t.cfg.runner,
+	}
+	if t.factory == nil {
+		pcfg.Workers = 1
+	}
 	var ck *core.Checkpointer
 	if t.cfg.ckPath != "" {
-		mode, workers := "sequential", 0
-		if t.factory != nil {
-			mode, workers = "sharded", t.cfg.workers
-		}
-		fp := core.CampaignFingerprint(mode, "user-target", "", workers, t.cfg.resolvedBatch(), n, t.cfg.runner)
+		fp := core.CampaignFingerprint("sharded", "user-target", "", pcfg.Workers, pcfg.Batch, n, t.cfg.runner)
 		var err error
 		ck, err = core.OpenCheckpoint(core.CheckpointConfig{
 			Path: t.cfg.ckPath, Every: t.cfg.ckEvery, Resume: t.cfg.ckResume,
@@ -348,31 +360,13 @@ func (t *Tester) RunContext(ctx context.Context, n int, report func(*TestCase)) 
 		}
 		defer ck.Close()
 	}
-	var stats Stats
+	var ps *core.ParallelStats
 	if t.factory == nil {
-		var err error
-		stats, err = core.RunCheckpointedSequential(ctx, t.target, t.cfg.runner, n,
-			"target", ck, core.DurableHooks{}, report)
-		if err != nil {
-			return stats, err
-		}
+		ps = core.RunCheckpointedOn(ctx, pcfg, "target", t.target, serialized(report), ck, core.DurableHooks{})
 	} else {
-		pcfg := core.ParallelConfig{
-			Workers: t.cfg.workers, Iterations: n,
-			Batch: t.cfg.resolvedBatch(), Runner: t.cfg.runner,
-		}
-		var observe func(int, core.Target, *core.TestCase)
-		if report != nil {
-			var mu sync.Mutex
-			observe = func(_ int, _ core.Target, tc *core.TestCase) {
-				mu.Lock()
-				defer mu.Unlock()
-				report(tc)
-			}
-		}
-		ps := core.RunCheckpointedParallel(ctx, pcfg, "target", t.factory, observe, ck, core.DurableHooks{})
-		stats = ps.Stats
+		ps = core.RunCheckpointedParallel(ctx, pcfg, "target", t.factory, serialized(report), ck, core.DurableHooks{})
 	}
+	stats := ps.Stats
 	if ck != nil {
 		if err := ck.Flush(); err != nil {
 			return stats, fmt.Errorf("gqs: checkpoint journal: %w", err)

@@ -161,14 +161,17 @@ func ckStatsScrub(s Stats) Stats {
 
 // TestTesterRunContextCheckpointResume: the public checkpoint API — a
 // campaign canceled mid-run resumes from its journal and converges on
-// the stats an uninterrupted run produces, on both tester shapes.
+// the stats an uninterrupted run produces, on both tester shapes. A
+// NewTester target runs on the sharded executor at one worker; it must
+// keep its prepared-execution extension (TestCase.Features is set only
+// on the prepared path) and stay open for Run afterwards.
 func TestTesterRunContextCheckpointResume(t *testing.T) {
 	const iters = 6
 	shapes := []struct {
 		name string
 		make func(opts ...TesterOption) *Tester
 	}{
-		{"sequential", func(opts ...TesterOption) *Tester {
+		{"target", func(opts ...TesterOption) *Tester {
 			sim, err := OpenSim("falkordb")
 			if err != nil {
 				t.Fatal(err)
@@ -197,9 +200,12 @@ func TestTesterRunContextCheckpointResume(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "tester.journal")
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			cases := 0
+			cases, prepared := 0, 0
 			durable := append(append([]TesterOption{}, base...), WithCheckpoint(path, 1))
-			partial, err := shape.make(durable...).RunContext(ctx, iters, func(*TestCase) {
+			partial, err := shape.make(durable...).RunContext(ctx, iters, func(tc *TestCase) {
+				if tc.Features != nil {
+					prepared++
+				}
 				if cases++; cases == cancelAt {
 					cancel()
 				}
@@ -210,8 +216,12 @@ func TestTesterRunContextCheckpointResume(t *testing.T) {
 			if partial.Queries >= want.Queries {
 				t.Fatalf("cancellation did not interrupt: partial ran %d of %d queries", partial.Queries, want.Queries)
 			}
+			if prepared == 0 {
+				t.Error("no test case took the prepared path: the target's extensions were hidden")
+			}
 
-			resumed, err := shape.make(append(durable, WithResume())...).RunContext(context.Background(), iters, nil)
+			tester := shape.make(append(durable, WithResume())...)
+			resumed, err := tester.RunContext(context.Background(), iters, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -220,6 +230,14 @@ func TestTesterRunContextCheckpointResume(t *testing.T) {
 			}
 			if got := ckStatsScrub(resumed); got != want {
 				t.Errorf("resumed stats diverge:\n  resumed: %+v\n  want:    %+v", got, want)
+			}
+			after, err := tester.Run(2, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if after.Passes == 0 || after.Robust.FailedIterations != 0 {
+				t.Errorf("Run after RunContext passed %d queries with %d failed iterations: the target was closed",
+					after.Passes, after.Robust.FailedIterations)
 			}
 		})
 	}

@@ -16,9 +16,9 @@ import (
 // record of which work units a campaign has completed, kept in an
 // append-only CRC-framed journal so a killed process resumes
 // byte-identically. The unit of durability matches the unit of
-// determinism — the logical iteration (a shard in the parallel executor,
-// one workflow iteration in the sequential runner). Each flush appends
-// one full-state snapshot record; recovery takes the last valid one, so
+// determinism — the logical iteration, one shard of the sharded executor
+// (a work unit is a contiguous range of them). Each flush appends one
+// full-state snapshot record; recovery takes the last valid one, so
 // a torn tail costs at most the units recorded since the previous flush,
 // which the resumed campaign simply re-runs — deterministically, to the
 // same outcome.
@@ -32,7 +32,8 @@ const checkpointVersion = 1
 var ErrFingerprintMismatch = errors.New("checkpoint: campaign fingerprint mismatch")
 
 // CampaignFingerprint canonically renders everything that determines a
-// campaign's outcome — executor mode, target set, fault-catalog hash,
+// campaign's outcome — executor mode (every in-repo caller passes
+// "sharded"), target set, fault-catalog hash,
 // seed and iteration budget, and the full runner configuration (graph
 // generation, synthesis, query counts, robustness bounds). Two runs may
 // share a checkpoint journal only if their fingerprints are equal;
@@ -53,24 +54,18 @@ func CampaignFingerprint(mode, targets, catalog string, workers, batch, iteratio
 }
 
 // UnitRecord is one completed work unit: a contiguous range of Count
-// shards starting at Shard in a parallel campaign, or iteration i of a
-// sequential one (Shard is the iteration index, Count 1). Stats is the
-// unit's own contribution (a sum over its shards; a delta, not a
-// running total) so restored units merge exactly like live ones.
+// shards starting at Shard. Stats is the unit's own contribution (a sum
+// over its shards) so restored units merge exactly like live ones.
+// Every shard starts from a fresh runner state (seed, circuit breaker),
+// so nothing else needs to cross a unit boundary.
 type UnitRecord struct {
 	Target string `json:"target"`
 	Shard  int    `json:"shard"`
 	// Count is the number of contiguous shards the unit covers; 0 means
-	// 1 (pre-batching records and sequential iterations).
+	// 1 (pre-batching records).
 	Count   int   `json:"count,omitempty"`
-	Queries int   `json:"queries"` // test cases the unit produced (drives RNG fast-forward)
+	Queries int   `json:"queries"` // test cases the unit produced
 	Stats   Stats `json:"stats"`
-	// BreakerOpen/ConsecFails snapshot the sequential runner's circuit-
-	// breaker state after this unit, so a resumed campaign keeps treating
-	// a dead target the way the killed one did. (Parallel shards build
-	// fresh runners per shard; their breaker state never crosses units.)
-	BreakerOpen bool `json:"breaker_open,omitempty"`
-	ConsecFails int  `json:"consec_fails,omitempty"`
 	// Payload is the embedder's per-unit state — the experiments layer
 	// stores its buffered detection events here so a resumed campaign can
 	// rebuild the canonical merged report.
@@ -343,18 +338,16 @@ func (c *Checkpointer) Close() error {
 }
 
 // DurableHooks lets an embedder attach per-unit state to the checkpoint
-// records the durable runners write, and observe the units restored on
+// records the durable executor writes, and observe the units restored on
 // resume. Both are optional.
 type DurableHooks struct {
 	// Payload renders the embedder's state for a just-completed unit
 	// covering shards [start, start+count); it runs on the goroutine
-	// that ran the unit, after its last test case. Sequential campaigns
-	// always pass count 1.
+	// that ran the unit, after its last test case.
 	Payload func(target string, start, count int) json.RawMessage
-	// Restore observes one restored unit. For the parallel executor it is
-	// called from the (single-goroutine) feed loop in ascending unit
-	// order; for the sequential runner, in iteration order before
-	// anything runs.
+	// Restore observes one restored unit. It is called from the
+	// executor's (single-goroutine) feed loop in ascending unit order,
+	// before anything is enqueued.
 	Restore func(u UnitRecord)
 }
 
@@ -369,129 +362,46 @@ type DurableHooks struct {
 func RunCheckpointedParallel(ctx context.Context, cfg ParallelConfig, name string,
 	factory TargetFactory, observe func(int, Target, *TestCase),
 	ck *Checkpointer, hooks DurableHooks) *ParallelStats {
-	if ck != nil {
-		userDone := cfg.UnitDone
-		cfg.SkipUnit = func(start, count int) (Stats, bool) {
-			u, ok := ck.Completed(name, start)
-			if !ok || u.UnitCount() != count {
-				return Stats{}, false
-			}
-			if hooks.Restore != nil {
-				hooks.Restore(u)
-			}
-			return u.Stats, true
-		}
-		cfg.UnitDone = func(start, count int, s Stats) {
-			u := UnitRecord{Target: name, Shard: start, Count: count, Queries: s.Queries, Stats: s}
-			if hooks.Payload != nil {
-				u.Payload = hooks.Payload(name, start, count)
-			}
-			ck.Record(u)
-			if userDone != nil {
-				userDone(start, count, s)
-			}
-		}
-	}
-	return RunParallelCtx(ctx, cfg, factory, observe)
+	return runParallel(ctx, checkpointed(cfg, name, ck, hooks), factory, nil, observe)
 }
 
-// RunCheckpointedSequential runs iterations workflow iterations against
-// one target with checkpointing: the restored prefix of completed
-// iterations is fast-forwarded through the RNG (no target execution),
-// the breaker state of the last restored iteration is reinstated, and
-// each completed live iteration is recorded with its per-iteration query
-// count — the exact information FastForward needs next time. Returns the
-// campaign stats including the restored units' contributions.
-func RunCheckpointedSequential(ctx context.Context, target Target, cfg RunnerConfig,
-	iterations int, name string, ck *Checkpointer, hooks DurableHooks,
-	report func(*TestCase)) (Stats, error) {
-	var restored Stats
-	var counts []int
-	var last UnitRecord
-	if ck != nil {
-		// Only the contiguous prefix of completed iterations can be
-		// restored: iteration k's RNG position depends on 0..k-1.
-		for i := 0; i < iterations; i++ {
-			u, ok := ck.Completed(name, i)
-			if !ok {
-				break
-			}
-			if hooks.Restore != nil {
-				hooks.Restore(u)
-			}
-			restored.Add(u.Stats)
-			counts = append(counts, u.Queries)
-			last = u
-		}
-	}
-	rn := NewRunnerCtx(ctx, target, cfg)
-	if len(counts) > 0 {
-		rn.FastForward(counts)
-		rn.RestoreResilience(last.BreakerOpen, last.ConsecFails)
-	}
-	prev := rn.Stats()
-	for i := len(counts); i < iterations; i++ {
-		if ctx != nil && ctx.Err() != nil {
-			break
-		}
-		if err := rn.RunIteration(report); err != nil {
-			return restored, err
-		}
-		if ctx != nil && ctx.Err() != nil {
-			break // a canceled iteration may be partial: never record it
-		}
-		cur := rn.Stats()
-		if ck != nil {
-			open, fails := rn.Breaker()
-			u := UnitRecord{
-				Target:      name,
-				Shard:       i,
-				Queries:     cur.Queries - prev.Queries,
-				Stats:       statsDelta(cur, prev),
-				BreakerOpen: open,
-				ConsecFails: fails,
-			}
-			if hooks.Payload != nil {
-				u.Payload = hooks.Payload(name, i, 1)
-			}
-			ck.Record(u)
-		}
-		prev = cur
-	}
-	total := restored
-	total.Add(rn.Stats())
-	return total, nil
+// RunCheckpointedOn is RunCheckpointedParallel on one caller-owned
+// target instead of a factory: a single worker runs every shard on it,
+// reseeding the runner per shard (and the target too when it is a
+// ShardSeeder), and leaves it open — the caller keeps using it. The
+// target keeps all its optional extensions; nothing wraps it.
+func RunCheckpointedOn(ctx context.Context, cfg ParallelConfig, name string,
+	target Target, observe func(int, Target, *TestCase),
+	ck *Checkpointer, hooks DurableHooks) *ParallelStats {
+	return runParallel(ctx, checkpointed(cfg, name, ck, hooks), nil, target, observe)
 }
 
-// statsDelta is the per-iteration stats contribution: after minus
-// before, field by field (LastCheckpointAge is a gauge, not a counter,
-// and is zero during a run).
-func statsDelta(after, before Stats) Stats {
-	d := Stats{
-		Graphs:    after.Graphs - before.Graphs,
-		Queries:   after.Queries - before.Queries,
-		Passes:    after.Passes - before.Passes,
-		LogicBugs: after.LogicBugs - before.LogicBugs,
-		ErrorBugs: after.ErrorBugs - before.ErrorBugs,
-		Skips:     after.Skips - before.Skips,
-		Elapsed:   after.Elapsed - before.Elapsed,
+// checkpointed installs the checkpoint hooks (SkipUnit, UnitDone) on cfg;
+// a nil checkpointer leaves it unchanged.
+func checkpointed(cfg ParallelConfig, name string, ck *Checkpointer, hooks DurableHooks) ParallelConfig {
+	if ck == nil {
+		return cfg
 	}
-	a, b := after.Robust, before.Robust
-	d.Robust = RobustnessStats{
-		Timeouts:            a.Timeouts - b.Timeouts,
-		Retries:             a.Retries - b.Retries,
-		TransientErrors:     a.TransientErrors - b.TransientErrors,
-		TransientGiveUps:    a.TransientGiveUps - b.TransientGiveUps,
-		PanicsRecovered:     a.PanicsRecovered - b.PanicsRecovered,
-		Restarts:            a.Restarts - b.Restarts,
-		RestartFailures:     a.RestartFailures - b.RestartFailures,
-		BreakerTrips:        a.BreakerTrips - b.BreakerTrips,
-		AbandonedGraphs:     a.AbandonedGraphs - b.AbandonedGraphs,
-		FailedIterations:    a.FailedIterations - b.FailedIterations,
-		Downtime:            a.Downtime - b.Downtime,
-		CheckpointsWritten:  a.CheckpointsWritten - b.CheckpointsWritten,
-		CheckpointBytes:     a.CheckpointBytes - b.CheckpointBytes,
-		ResumeFastForwarded: a.ResumeFastForwarded - b.ResumeFastForwarded,
+	userDone := cfg.UnitDone
+	cfg.SkipUnit = func(start, count int) (Stats, bool) {
+		u, ok := ck.Completed(name, start)
+		if !ok || u.UnitCount() != count {
+			return Stats{}, false
+		}
+		if hooks.Restore != nil {
+			hooks.Restore(u)
+		}
+		return u.Stats, true
 	}
-	return d
+	cfg.UnitDone = func(start, count int, s Stats) {
+		u := UnitRecord{Target: name, Shard: start, Count: count, Queries: s.Queries, Stats: s}
+		if hooks.Payload != nil {
+			u.Payload = hooks.Payload(name, start, count)
+		}
+		ck.Record(u)
+		if userDone != nil {
+			userDone(start, count, s)
+		}
+	}
+	return cfg
 }

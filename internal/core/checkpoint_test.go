@@ -127,125 +127,24 @@ func TestCheckpointCompactionBoundsJournal(t *testing.T) {
 
 func TestCampaignFingerprintSensitivity(t *testing.T) {
 	cfg := tinyRunnerConfig()
-	base := CampaignFingerprint("sequential", "reference", "cat", 1, 1, 10, cfg)
-	if base != CampaignFingerprint("sequential", "reference", "cat", 1, 1, 10, cfg) {
+	base := CampaignFingerprint("sharded", "reference", "cat", 1, 1, 10, cfg)
+	if base != CampaignFingerprint("sharded", "reference", "cat", 1, 1, 10, cfg) {
 		t.Fatal("fingerprint not deterministic")
 	}
 	cfg2 := cfg
 	cfg2.Seed++
 	for name, other := range map[string]string{
-		"seed":       CampaignFingerprint("sequential", "reference", "cat", 1, 1, 10, cfg2),
-		"mode":       CampaignFingerprint("sharded", "reference", "cat", 1, 1, 10, cfg),
-		"targets":    CampaignFingerprint("sequential", "memgraph", "cat", 1, 1, 10, cfg),
-		"catalog":    CampaignFingerprint("sequential", "reference", "cat2", 1, 1, 10, cfg),
-		"workers":    CampaignFingerprint("sequential", "reference", "cat", 2, 1, 10, cfg),
-		"iterations": CampaignFingerprint("sequential", "reference", "cat", 1, 1, 11, cfg),
-		"batch":      CampaignFingerprint("sequential", "reference", "cat", 1, 4, 10, cfg),
+		"seed":       CampaignFingerprint("sharded", "reference", "cat", 1, 1, 10, cfg2),
+		"mode":       CampaignFingerprint("other", "reference", "cat", 1, 1, 10, cfg),
+		"targets":    CampaignFingerprint("sharded", "memgraph", "cat", 1, 1, 10, cfg),
+		"catalog":    CampaignFingerprint("sharded", "reference", "cat2", 1, 1, 10, cfg),
+		"workers":    CampaignFingerprint("sharded", "reference", "cat", 2, 1, 10, cfg),
+		"iterations": CampaignFingerprint("sharded", "reference", "cat", 1, 1, 11, cfg),
+		"batch":      CampaignFingerprint("sharded", "reference", "cat", 1, 4, 10, cfg),
 	} {
 		if other == base {
 			t.Errorf("fingerprint insensitive to %s", name)
 		}
-	}
-}
-
-// TestCheckpointedSequentialResume: a sequential campaign killed after
-// its second checkpoint resumes into the byte-identical verdict stream
-// and merged stats of an uninterrupted run.
-func TestCheckpointedSequentialResume(t *testing.T) {
-	cfg := tinyRunnerConfig()
-	cfg.Seed = 31
-	const iterations = 6
-	fp := CampaignFingerprint("sequential", "reference", "", 1, 1, iterations, cfg)
-
-	trace := func(stats *Stats, run func(report func(*TestCase)) Stats) string {
-		var sb strings.Builder
-		s := run(func(tc *TestCase) {
-			sb.WriteString(tc.Verdict.String())
-			sb.WriteByte(';')
-		})
-		if stats != nil {
-			*stats = s
-		}
-		return sb.String()
-	}
-
-	// Uninterrupted durable run: the ground truth.
-	var full Stats
-	fullTrace := trace(&full, func(report func(*TestCase)) Stats {
-		ck, err := OpenCheckpoint(CheckpointConfig{Path: ckPath(t), Every: 1}, fp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ck.Close()
-		s, err := RunCheckpointedSequential(context.Background(), gdb.NewReference(),
-			cfg, iterations, "reference", ck, DurableHooks{}, report)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	})
-	if fullTrace == "" {
-		t.Fatal("campaign produced no verdicts")
-	}
-
-	// The same campaign killed (context-canceled) after 2 checkpoints.
-	path := ckPath(t)
-	var canceled context.CancelFunc
-	flushes := 0
-	ck, err := OpenCheckpoint(CheckpointConfig{Path: path, Every: 1,
-		OnFlush: func(int) {
-			if flushes++; flushes == 2 {
-				canceled()
-			}
-		}}, fp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	canceled = cancel
-	defer cancel()
-	partial, err := RunCheckpointedSequential(ctx, gdb.NewReference(),
-		cfg, iterations, "reference", ck, DurableHooks{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ck.Close()
-	if partial.Graphs != 2 {
-		t.Fatalf("interrupted run completed %d iterations, want 2", partial.Graphs)
-	}
-
-	// Resume: the live tail must replay exactly the uninterrupted stream.
-	restoredUnits := 0
-	var resumed Stats
-	resumedTrace := trace(&resumed, func(report func(*TestCase)) Stats {
-		re, err := OpenCheckpoint(CheckpointConfig{Path: path, Every: 1, Resume: true}, fp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer re.Close()
-		s, err := RunCheckpointedSequential(context.Background(), gdb.NewReference(),
-			cfg, iterations, "reference", re, DurableHooks{
-				Restore: func(UnitRecord) { restoredUnits++ },
-			}, report)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	})
-	if restoredUnits != 2 {
-		t.Fatalf("restored %d units, want 2", restoredUnits)
-	}
-	if resumed.Robust.ResumeFastForwarded != 2 {
-		t.Fatalf("ResumeFastForwarded = %d, want 2", resumed.Robust.ResumeFastForwarded)
-	}
-	// The resumed report stream covers only the live tail; it must be a
-	// suffix of the uninterrupted stream (the restored prefix is not
-	// replayed to the report callback).
-	if !strings.HasSuffix(fullTrace, resumedTrace) || resumedTrace == fullTrace {
-		t.Fatalf("resumed tail is not a proper suffix:\n  full:    %s\n  resumed: %s", fullTrace, resumedTrace)
-	}
-	if scrubCk(resumed) != scrubCk(full) {
-		t.Fatalf("resumed stats diverge:\n  full:    %+v\n  resumed: %+v", scrubCk(full), scrubCk(resumed))
 	}
 }
 
@@ -308,135 +207,58 @@ func TestCheckpointedParallelResume(t *testing.T) {
 	}
 }
 
-// TestFastForwardMatchesBreakerState: an iteration whose target never
-// came up consumes only the graph draw; FastForward must honor that via
-// the recorded zero query count, and RestoreResilience must reinstate
-// the breaker so the resumed campaign probes instead of re-tripping.
-func TestCheckpointedSequentialResumeThroughOutage(t *testing.T) {
-	tgt := &flakyReset{Target: gdb.NewReference(), down: true}
-	cfg := tinyRunnerConfig()
-	cfg.Seed = 17
-	const iterations = 8
-	fp := CampaignFingerprint("sequential", "flaky", "", 1, 1, iterations, cfg)
-
-	// Baseline: 5 dead iterations (breaker trips), then the target heals.
-	baseRun := func(target Target, healAt int) (Stats, string) {
-		rn := NewRunner(target, cfg)
-		var sb strings.Builder
-		for i := 0; i < iterations; i++ {
-			if i == healAt {
-				tgt.down = false
-			}
-			if err := rn.RunIteration(func(tc *TestCase) {
-				sb.WriteString(tc.Verdict.String())
-				sb.WriteByte(';')
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return rn.Stats(), sb.String()
-	}
-	base, baseTrace := baseRun(tgt, 5)
-	if base.Robust.BreakerTrips != 1 || base.Graphs == 0 {
-		t.Fatalf("baseline scenario did not trip+heal: %+v", base.Robust)
+// TestCheckpointedParallelResumeThroughOutage: shards whose target never
+// comes up (failed restart sequences, FailedIterations) are journaled
+// like any other unit; a campaign killed after a flush inside the outage resumes into
+// the merged stats of an uninterrupted run. Every shard builds a fresh
+// runner, so no breaker state has to cross the kill.
+func TestCheckpointedParallelResumeThroughOutage(t *testing.T) {
+	pcfg := ParallelConfig{Workers: 1, Iterations: 8, Runner: tinyRunnerConfig()}
+	pcfg.Runner.Seed = 17
+	const downShards = 4 // shards [0, 4) never come up; the rest are healthy
+	fp := CampaignFingerprint("sharded", "flaky", "", pcfg.Workers, 1, pcfg.Iterations, pcfg.Runner)
+	factory := func(shard int) (Target, error) {
+		return &flakyReset{Target: gdb.NewReference(), down: shard < downShards}, nil
 	}
 
-	// Durable run killed during the outage (after 4 dead iterations).
-	tgt2 := &flakyReset{Target: gdb.NewReference(), down: true}
+	base := RunParallel(pcfg, factory, nil)
+	if base.Robust.FailedIterations != downShards || base.Robust.RestartFailures == 0 || base.Graphs == 0 {
+		t.Fatalf("baseline scenario did not fail and heal: %+v", base.Robust)
+	}
+
+	// Durable run killed after the third flush: inside the outage.
 	path := ckPath(t)
-	ck, err := OpenCheckpoint(CheckpointConfig{Path: path, Every: 1}, fp)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	flushes := 0
+	ck, err := OpenCheckpoint(CheckpointConfig{Path: path, Every: 1,
+		OnFlush: func(int) {
+			if flushes++; flushes == 3 {
+				cancel()
+			}
+		}}, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	flushes := 0
-	ck.cfg.OnFlush = func(int) {
-		if flushes++; flushes == 4 {
-			cancel()
-		}
-	}
-	if _, err := RunCheckpointedSequential(ctx, tgt2, cfg, iterations, "flaky", ck, DurableHooks{}, nil); err != nil {
-		t.Fatal(err)
-	}
-	cancel()
+	RunCheckpointedParallel(ctx, pcfg, "flaky", factory, nil, ck, DurableHooks{})
 	ck.Close()
 
-	// Resume with a healed target from iteration 5 on: breaker state must
-	// carry over (open, then probed closed), and the verdict tail must
-	// match the baseline's.
-	tgt2.down = true
 	re, err := OpenCheckpoint(CheckpointConfig{Path: path, Every: 1, Resume: true}, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	u, ok := re.Completed("flaky", 3)
-	if !ok || !u.BreakerOpen || u.Queries != 0 {
-		t.Fatalf("outage unit not recorded with open breaker and zero queries: %+v ok=%v", u, ok)
+	u, ok := re.Completed("flaky", 0)
+	if !ok || u.Stats.Robust.FailedIterations != 1 || u.Queries != 0 {
+		t.Fatalf("outage unit not recorded as a failed iteration with zero queries: %+v ok=%v", u, ok)
 	}
-	var sb strings.Builder
 	restored := 0
-	s, err := runCheckpointedSequentialHealing(context.Background(), tgt2, cfg, iterations, "flaky", re,
-		DurableHooks{Restore: func(UnitRecord) { restored++ }},
-		func(tc *TestCase) {
-			sb.WriteString(tc.Verdict.String())
-			sb.WriteByte(';')
-		}, 5)
-	if err != nil {
-		t.Fatal(err)
+	resumed := RunCheckpointedParallel(context.Background(), pcfg, "flaky", factory, nil, re,
+		DurableHooks{Restore: func(UnitRecord) { restored++ }})
+	if restored != 3 {
+		t.Fatalf("restored %d units, want 3", restored)
 	}
-	if restored != 4 {
-		t.Fatalf("restored %d units, want 4", restored)
-	}
-	if !strings.HasSuffix(baseTrace, sb.String()) {
-		t.Fatalf("resumed tail diverges:\n  baseline: %q\n  resumed:  %q", baseTrace, sb.String())
-	}
-	if got, want := scrubCk(s), scrubCk(base); got != want {
+	if got, want := scrubCk(resumed.Stats), scrubCk(base.Stats); got != want {
 		t.Fatalf("stats diverge:\n  baseline: %+v\n  resumed:  %+v", want, got)
 	}
-}
-
-// runCheckpointedSequentialHealing is RunCheckpointedSequential with a
-// heal hook: the flakyReset target comes up at iteration healAt, mirroring
-// the baseline scenario across the kill/resume boundary.
-func runCheckpointedSequentialHealing(ctx context.Context, target *flakyReset, cfg RunnerConfig,
-	iterations int, name string, ck *Checkpointer, hooks DurableHooks,
-	report func(*TestCase), healAt int) (Stats, error) {
-	var restored Stats
-	var counts []int
-	var last UnitRecord
-	for i := 0; i < iterations; i++ {
-		u, ok := ck.Completed(name, i)
-		if !ok {
-			break
-		}
-		if hooks.Restore != nil {
-			hooks.Restore(u)
-		}
-		restored.Add(u.Stats)
-		counts = append(counts, u.Queries)
-		last = u
-	}
-	rn := NewRunnerCtx(ctx, target, cfg)
-	if len(counts) > 0 {
-		rn.FastForward(counts)
-		rn.RestoreResilience(last.BreakerOpen, last.ConsecFails)
-	}
-	prev := rn.Stats()
-	for i := len(counts); i < iterations; i++ {
-		if i >= healAt {
-			target.down = false
-		}
-		if err := rn.RunIteration(report); err != nil {
-			return restored, err
-		}
-		cur := rn.Stats()
-		open, fails := rn.Breaker()
-		ck.Record(UnitRecord{Target: name, Shard: i, Queries: cur.Queries - prev.Queries,
-			Stats: statsDelta(cur, prev), BreakerOpen: open, ConsecFails: fails})
-		prev = cur
-	}
-	total := restored
-	total.Add(rn.Stats())
-	return total, nil
 }

@@ -105,7 +105,7 @@ type RobustnessStats struct {
 	CheckpointsWritten  int           // snapshot records flushed to the journal
 	CheckpointBytes     int64         // framed bytes appended to the journal
 	LastCheckpointAge   time.Duration // age of the newest flush at campaign end
-	ResumeFastForwarded int           // iterations skipped or RNG-replayed on resume
+	ResumeFastForwarded int           // iterations restored from the checkpoint (skipped) on resume
 }
 
 // Add accumulates another stats block; campaign-level reports sum the

@@ -10,9 +10,9 @@ import (
 	"gqs/internal/functions"
 )
 
-// This file is the sharded parallel campaign executor. The paper's
-// evaluation runs month-long fuzzing campaigns; a sequential runner caps
-// throughput at one core. The workflow is embarrassingly parallel per
+// This file is the campaign executor: every campaign, at any worker
+// count, runs here. The paper's evaluation runs month-long
+// fuzzing campaigns, and the workflow is embarrassingly parallel per
 // iteration — every iteration generates its own graph, restarts its own
 // instance, and synthesizes its own queries — so the executor fans
 // iterations across a worker pool.
@@ -47,9 +47,8 @@ type TargetFactory func(shard int) (Target, error)
 // (engine seed and execution counter, flaky-injection stream) for a new
 // shard index. A worker reuses one such connector — and one Runner on
 // top of it, reseeded per shard — across every shard it drains,
-// skipping the per-shard engine and fault-catalog construction that
-// made workers=1 parallel campaigns slower than the sequential runner,
-// under the contract that after SeedShard(i) the target behaves
+// skipping the per-shard engine and fault-catalog construction, under
+// the contract that after SeedShard(i) the target behaves
 // byte-identically to a freshly built factory(i) instance.
 type ShardSeeder interface {
 	SeedShard(shard int)
@@ -66,9 +65,10 @@ type ParallelConfig struct {
 	Iterations int
 	// Batch is the work-unit size: each unit a worker drains is a
 	// contiguous range of Batch logical iterations (the tail unit may be
-	// shorter). 0 or negative selects 1. Batching amortizes per-unit
-	// scheduling and checkpoint costs; it never changes what any shard
-	// computes, so results are byte-identical across batch sizes.
+	// shorter). 0 or negative selects 1; AutoBatch is the usual explicit
+	// choice. Batching amortizes per-unit scheduling and checkpoint
+	// costs; it never changes what any shard computes, so results are
+	// byte-identical across batch sizes.
 	Batch int
 	// Runner configures each shard's runner. Runner.Seed is the campaign
 	// seed; shard i runs with ShardSeed(Runner.Seed, i).
@@ -101,6 +101,19 @@ type ParallelConfig struct {
 	// make a resumed campaign skip (never retry) the failed shard.
 	// Callers touching shared state must synchronize.
 	UnitDone func(start, count int, s Stats)
+}
+
+// AutoBatch is the automatic work-unit size for a campaign of iterations
+// shards on workers workers: about 4 units per worker — coarse enough to
+// amortize per-unit scheduling and checkpoint costs, fine enough that a
+// straggler unit cannot idle the pool — clamped to [1, 16]; workers < 1
+// gives 1. A pure function of its arguments, never of the machine, so
+// callers may feed it into the checkpoint fingerprint.
+func AutoBatch(iterations, workers int) int {
+	if workers < 1 {
+		return 1
+	}
+	return min(max(iterations/(workers*4), 1), 16)
 }
 
 // workUnit is one contiguous range of logical shards drained by a
@@ -176,7 +189,7 @@ func (s *Stats) Add(o Stats) {
 //
 // A factory error costs one failed iteration (recorded in the merged
 // Stats.Robust), never the campaign — the same degraded-not-dead
-// contract the sequential runner keeps.
+// contract Runner.Run keeps.
 func RunParallel(cfg ParallelConfig, factory TargetFactory, observe func(shard int, target Target, tc *TestCase)) *ParallelStats {
 	return RunParallelCtx(context.Background(), cfg, factory, observe)
 }
@@ -188,6 +201,13 @@ func RunParallel(cfg ParallelConfig, factory TargetFactory, observe func(shard i
 // checkpoint layer's UnitDone hook sees exactly the units that ran to
 // completion before cancellation.
 func RunParallelCtx(ctx context.Context, cfg ParallelConfig, factory TargetFactory, observe func(shard int, target Target, tc *TestCase)) *ParallelStats {
+	return runParallel(ctx, cfg, factory, nil, observe)
+}
+
+// runParallel is the executor behind RunParallelCtx and
+// RunCheckpointedOn: with a nil own it builds targets through factory;
+// otherwise one worker runs every shard on own and never closes it.
+func runParallel(ctx context.Context, cfg ParallelConfig, factory TargetFactory, own Target, observe func(shard int, target Target, tc *TestCase)) *ParallelStats {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -226,6 +246,9 @@ func RunParallelCtx(ctx context.Context, cfg ParallelConfig, factory TargetFacto
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	if own != nil {
+		workers = 1 // one target cannot be driven concurrently
+	}
 	if workers > len(pending) {
 		workers = len(pending)
 	}
@@ -239,15 +262,23 @@ func RunParallelCtx(ctx context.Context, cfg ParallelConfig, factory TargetFacto
 			// A connector that supports per-shard reseeding is built once
 			// and reused — together with one Runner on top of it — for
 			// every shard this worker drains; others are built and closed
-			// per shard as before. Reuse changes which instance runs a
-			// shard, never what the shard computes: the shard's RNG
-			// streams derive from (campaign seed, shard) alone.
+			// per shard. A caller-owned target is reused the same way but
+			// stays open. Reuse changes which instance runs a shard, never
+			// what the shard computes: the shard's runner streams derive
+			// from (campaign seed, shard) alone.
 			var reused Target
 			var rn *Runner
-			defer closeTarget(&reused)
+			if own != nil {
+				reused = own
+				rn = NewRunnerCtx(ctx, own, cfg.Runner)
+			} else {
+				defer closeTarget(&reused)
+			}
 			runShard := func(shard int) bool {
 				if reused != nil {
-					reused.(ShardSeeder).SeedShard(shard)
+					if s, ok := reused.(ShardSeeder); ok {
+						s.SeedShard(shard)
+					}
 					rn.Reseed(ShardSeed(cfg.Runner.Seed, shard))
 					rn.SetShare(cfg.Share, shard)
 					perShard[shard] = runIterationOn(rn, shard, reused, observe)

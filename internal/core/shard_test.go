@@ -173,3 +173,49 @@ func TestRunParallelZeroIterations(t *testing.T) {
 		t.Fatalf("zero iterations must be a no-op, got %+v", ps.Stats)
 	}
 }
+
+// TestRunCheckpointedOnOwnTarget: a caller-owned target runs every shard
+// on one worker, reports the same per-shard stats as fresh factory
+// targets, and is never closed.
+func TestRunCheckpointedOnOwnTarget(t *testing.T) {
+	cfg := shardTestConfig()
+	cfg.Workers = 4
+	want := RunParallel(cfg, func(int) (Target, error) { return newRefTarget(nil), nil }, nil)
+
+	var closed atomic.Int64
+	own := newRefTarget(&closed)
+	var seen []Target
+	got := RunCheckpointedOn(context.Background(), cfg, "reference", own,
+		func(_ int, target Target, _ *TestCase) { seen = append(seen, target) }, nil, DurableHooks{})
+	if got.Workers != 1 {
+		t.Errorf("Workers = %d, want 1: one target cannot be driven concurrently", got.Workers)
+	}
+	if n := closed.Load(); n != 0 {
+		t.Errorf("closed the caller's target %d times", n)
+	}
+	if len(seen) == 0 {
+		t.Fatal("observer saw no test cases")
+	}
+	for _, tg := range seen {
+		if tg != Target(own) {
+			t.Fatalf("observer saw target %T, want the caller's own instance", tg)
+		}
+	}
+	for i := range want.Shards {
+		if a, b := scrub(want.Shards[i].Stats), scrub(got.Shards[i].Stats); a != b {
+			t.Errorf("shard %d: own-target stats %+v, factory stats %+v", i, b, a)
+		}
+	}
+}
+
+func TestAutoBatch(t *testing.T) {
+	for _, tc := range []struct{ iterations, workers, want int }{
+		{60, 0, 1}, {60, -2, 1}, // no configured pool: one iteration per unit
+		{0, 4, 1}, {7, 4, 1}, // fewer iterations than 4 per worker
+		{60, 1, 15}, {60, 2, 7}, {1000, 2, 16}, // ~4 units per worker, capped at 16
+	} {
+		if got := AutoBatch(tc.iterations, tc.workers); got != tc.want {
+			t.Errorf("AutoBatch(%d, %d) = %d, want %d", tc.iterations, tc.workers, got, tc.want)
+		}
+	}
+}

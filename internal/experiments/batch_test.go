@@ -13,9 +13,7 @@ import (
 // TestBatchDeterminismDifferential is the batching acceptance test: the
 // canonical bug report is a pure function of the seed — not of the
 // worker count and not of the work-unit size. "Sequential" here is the
-// sharded executor's serial order (workers=1, batch=1); the legacy
-// workers=0 runner draws from one campaign-wide RNG stream and reports
-// a different (internally consistent) stream by design.
+// executor's serial order (workers=1, batch=1).
 func TestBatchDeterminismDifferential(t *testing.T) {
 	run := func(workers, batch int) *Campaign {
 		cfg := shardedTestConfig(workers)

@@ -32,8 +32,7 @@ type Finding struct {
 	AtQuery  int // canonical campaign query index of first detection
 	Graph    *graph.Graph
 	Schema   *graph.Schema
-	// Shard is the logical shard (iteration) of first detection; 0 in
-	// the legacy sequential executor.
+	// Shard is the logical shard (iteration) of first detection.
 	Shard int
 	// Latency is the wall-clock time from campaign start to the
 	// detection — the time-to-bug metric. Excluded from the canonical
@@ -50,9 +49,8 @@ type Campaign struct {
 	// Robust sums what the resilience layer absorbed across all targets
 	// (timeouts, retries, restarts, breaker trips, downtime).
 	Robust core.RobustnessStats
-	// Workers is the worker-pool size the campaign ran with (0 = legacy
-	// sequential executor); Wall is its wall-clock time and Throughput
-	// the final meter reading (sharded campaigns only).
+	// Workers is the worker-pool size the campaign ran with; Wall is its
+	// wall-clock time and Throughput the final meter reading.
 	Workers    int
 	Wall       time.Duration
 	Throughput metrics.Throughput
@@ -73,11 +71,9 @@ type CampaignConfig struct {
 	FlakyRate float64
 	// Robust bounds the runner's resilience layer (zero ⇒ defaults).
 	Robust core.RobustnessConfig
-	// Workers selects the executor: 0 keeps the legacy sequential
-	// single-RNG-stream runner; >= 1 runs the sharded parallel executor
-	// (core.RunParallel), whose merged bug set is identical for every
-	// worker count at the same seed. Workers == 1 is the sharded
-	// executor on one worker, not the legacy runner.
+	// Workers is the sharded executor's worker-pool size (core.RunParallel);
+	// <= 0 selects GOMAXPROCS. The merged bug set is identical for every
+	// worker count at the same seed.
 	Workers int
 	// Batch is the sharded executor's work-unit size: each unit a worker
 	// drains is Batch contiguous logical iterations. 0 selects an
@@ -87,26 +83,15 @@ type CampaignConfig struct {
 }
 
 // ResolvedBatch is the effective work-unit size of the sharded
-// executor. The automatic choice aims at ~4 units per worker — coarse
-// enough to amortize per-unit scheduling and checkpoint costs, fine
-// enough that a straggler unit cannot idle the pool — and is a pure
-// function of the config (it feeds the checkpoint fingerprint, which
-// must not depend on the machine).
+// executor: Batch when set, else core.AutoBatch of the configured
+// Workers (1 when Workers <= 0). It is a pure function of the config —
+// it feeds the checkpoint fingerprint, which must not depend on the
+// machine — so it never looks at GOMAXPROCS.
 func (cfg CampaignConfig) ResolvedBatch() int {
 	if cfg.Batch > 0 {
 		return cfg.Batch
 	}
-	if cfg.Workers < 1 {
-		return 1
-	}
-	b := cfg.Iterations / (cfg.Workers * 4)
-	if b < 1 {
-		b = 1
-	}
-	if b > 16 {
-		b = 16
-	}
-	return b
+	return core.AutoBatch(cfg.Iterations, cfg.Workers)
 }
 
 // DefaultCampaignConfig is sized so the full Table 3 campaign runs in
@@ -122,23 +107,16 @@ func DefaultCampaignConfig() CampaignConfig {
 
 // RunGQSCampaign runs GQS against every simulated GDB, deduplicating
 // findings by injected-fault identity (the ground truth the paper's
-// manual deduplication approximates). With cfg.Workers >= 1 the campaign
-// runs on the sharded parallel executor (see parallel.go).
+// manual deduplication approximates). The campaign runs on the sharded
+// executor (see parallel.go).
 func RunGQSCampaign(cfg CampaignConfig) *Campaign {
-	if cfg.Workers >= 1 {
-		return runShardedCampaign(cfg)
-	}
-	c := &Campaign{}
-	for _, sim := range gdb.All() {
-		c.runOn(sim, cfg)
-	}
-	return c
+	return runShardedCampaign(context.Background(), cfg, nil)
 }
 
-// campaignRunnerConfig is the one runner configuration every campaign
-// executor — sequential, sharded, durable — derives from a
-// CampaignConfig. Keeping it single-sourced is what lets the checkpoint
-// fingerprint and the RNG fast-forward agree with the live executors.
+// campaignRunnerConfig is the one runner configuration every campaign —
+// plain or durable — derives from a CampaignConfig. Keeping it
+// single-sourced is what lets the checkpoint fingerprint agree with the
+// executor.
 func campaignRunnerConfig(cfg CampaignConfig) core.RunnerConfig {
 	return core.RunnerConfig{
 		Seed:            cfg.Seed,
@@ -148,50 +126,6 @@ func campaignRunnerConfig(cfg CampaignConfig) core.RunnerConfig {
 		QueriesPerGT:    2,
 		Robust:          cfg.Robust,
 	}
-}
-
-func (c *Campaign) runOn(sim *gdb.Sim, cfg CampaignConfig) {
-	seen := map[string]bool{}
-	for _, f := range c.Findings {
-		seen[f.Bug.ID] = true
-	}
-	rcfg := campaignRunnerConfig(cfg)
-	sim.SetLiveFaults(cfg.Live)
-	var tgt gdb.Connector = sim
-	if cfg.FlakyRate > 0 {
-		tgt = gdb.NewFlaky(sim, gdb.FlakyConfig{
-			Seed:           cfg.Seed + 0x5eed,
-			ErrorRate:      cfg.FlakyRate,
-			ResetErrorRate: cfg.FlakyRate / 2,
-		})
-	}
-	rn := core.NewRunner(tgt, rcfg)
-	rn.Run(cfg.Iterations, func(tc *core.TestCase) {
-		c.Queries++
-		switch tc.Verdict {
-		case core.VerdictSkip:
-			c.Skips++
-			return
-		case core.VerdictPass:
-			return
-		}
-		b := tgt.TriggeredBug()
-		if b == nil || seen[b.ID] {
-			return
-		}
-		seen[b.ID] = true
-		c.Findings = append(c.Findings, &Finding{
-			Bug:      b,
-			GDB:      sim.Name(),
-			Query:    tc.Query,
-			Features: featuresOf(tc),
-			Steps:    tc.Steps,
-			AtQuery:  c.Queries,
-			Graph:    tc.Graph,
-			Schema:   tc.Schema,
-		})
-	})
-	c.Robust.Add(rn.Stats().Robust)
 }
 
 // featuresOf returns the test case's feature vector: the one the

@@ -22,32 +22,29 @@ func reportDigest(c *Campaign) string {
 }
 
 // killResumeConfig sizes a campaign small enough for -race yet long
-// enough to hold several kill points. The sharded legs keep the flaky
-// injector on (its per-shard streams reseed deterministically on
-// resume); the sequential leg must not (a single campaign-wide flaky
-// stream cannot be fast-forwarded — DESIGN.md §10).
+// enough to hold several kill points, with the flaky injector on (its
+// per-shard streams reseed deterministically on resume).
 func killResumeConfig(workers int) CampaignConfig {
 	cfg := DefaultCampaignConfig()
 	cfg.Iterations = 6
 	cfg.Workers = workers
-	if workers >= 1 {
-		cfg.FlakyRate = 0.05
-	}
+	cfg.FlakyRate = 0.05
 	return cfg
 }
 
 // TestKillResumeDifferential is the tentpole's proof obligation: a
 // campaign killed at a checkpoint boundary — with the journal tail torn
 // on top — resumes into the byte-identical canonical bug report of an
-// uninterrupted run, for the sequential executor and the sharded one at
-// 1 and GOMAXPROCS workers.
+// uninterrupted run, at the default worker count (Workers 0 ⇒
+// GOMAXPROCS, auto batch 1), at 1 worker (auto batch) and at GOMAXPROCS
+// workers.
 func TestKillResumeDifferential(t *testing.T) {
 	legs := []struct {
 		name      string
 		workers   int
 		killAfter int // cancel at this checkpoint flush
 	}{
-		{"sequential", 0, 5},
+		{"workers0", 0, 5},
 		{"workers1", 1, 3},
 		{"workersN", runtime.GOMAXPROCS(0), 7},
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"strings"
 	"time"
 
@@ -24,8 +25,7 @@ import (
 // are buffered per shard during the run and *streamed* into a dedicated
 // merger goroutine as each unit completes: the merger holds completed
 // ranges in a pending set and folds them strictly in ascending shard
-// order, deduplicating against a campaign-wide seen-set exactly like
-// the sequential path does. Folding unit [s, s+c) therefore always
+// order, deduplicating against a campaign-wide seen-set. Folding unit [s, s+c) therefore always
 // happens after every shard < s has been folded and before any shard
 // ≥ s+c — the same total order the old end-of-run barrier produced,
 // minus the barrier: early shards merge while late shards still run. A
@@ -55,19 +55,17 @@ type shardLog struct {
 	events  []shardEvent
 }
 
-// runShardedCampaign is the Workers >= 1 executor behind RunGQSCampaign.
-func runShardedCampaign(cfg CampaignConfig) *Campaign {
-	return runShardedCampaignCtx(context.Background(), cfg, nil)
-}
-
-// runShardedCampaignCtx is the sharded executor under a cancelable
-// context and an optional checkpointer (nil ⇒ plain run): completed
-// shards are journaled, restored shards are skipped, and cancellation
-// stops between shards. A canceled campaign's merge covers only what
-// completed — callers resuming later discard it.
-func runShardedCampaignCtx(ctx context.Context, cfg CampaignConfig, ck *core.Checkpointer) *Campaign {
+// runShardedCampaign runs the campaign on the sharded executor under a
+// cancelable context and an optional checkpointer (nil ⇒ plain run):
+// completed shards are journaled, restored shards are skipped, and
+// cancellation stops between shards. A canceled campaign's merge covers
+// only what completed — callers resuming later discard it.
+func runShardedCampaign(ctx context.Context, cfg CampaignConfig, ck *core.Checkpointer) *Campaign {
 	meter := metrics.NewMeter()
 	c := &Campaign{Workers: cfg.Workers}
+	if c.Workers <= 0 {
+		c.Workers = runtime.GOMAXPROCS(0)
+	}
 	seen := map[string]bool{}
 	// One snapshot share for the whole campaign: shard i's generated
 	// graph is identical in every per-GDB leg (its RNG seed depends only
@@ -211,11 +209,8 @@ func runShardedOn(ctx context.Context, c *Campaign, gdbName string, cfg Campaign
 // mergeShardLogs folds buffered per-shard detections into the campaign
 // in canonical order: ascending shard index, AtQuery = campaign queries
 // so far + earlier shards' query counts + the shard-local index. The
-// sharded executor streams contiguous ranges through here in ascending
-// order (startShard is the range's first logical shard); the sequential
-// executor passes its whole iteration list at once with startShard < 0,
-// meaning "not shard-indexed" — its findings report Shard 0 (see
-// Finding.Shard).
+// merger streams contiguous ranges through here in ascending order;
+// startShard is the range's first logical shard.
 func mergeShardLogs(c *Campaign, gdbName string, logs []shardLog, seen map[string]bool, startShard int) {
 	base := c.Queries
 	for i := range logs {
@@ -225,7 +220,7 @@ func mergeShardLogs(c *Campaign, gdbName string, logs []shardLog, seen map[strin
 				continue
 			}
 			seen[ev.bug.ID] = true
-			f := &Finding{
+			c.Findings = append(c.Findings, &Finding{
 				Bug:      ev.bug,
 				GDB:      gdbName,
 				Query:    ev.query,
@@ -234,12 +229,9 @@ func mergeShardLogs(c *Campaign, gdbName string, logs []shardLog, seen map[strin
 				AtQuery:  base + ev.atLocal,
 				Graph:    ev.graph,
 				Schema:   ev.schema,
+				Shard:    startShard + i,
 				Latency:  ev.latency,
-			}
-			if startShard >= 0 {
-				f.Shard = startShard + i
-			}
-			c.Findings = append(c.Findings, f)
+			})
 		}
 		base += log.queries
 		c.Skips += log.skips
