@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench bench-regress bench-go profile verify smoke crashtest plandiff perfbench-build
+.PHONY: build test vet race bench bench-regress bench-go profile profile-scale verify smoke crashtest plandiff perfbench-build
 
 build:
 	$(GO) build ./...
@@ -57,6 +57,17 @@ bench-go:
 # `go tool pprof cpu.out` / `go tool pprof mem.out`.
 profile:
 	$(GO) run ./cmd/gqs-bench -exp bench -iterations 20 -cpuprofile cpu.out -memprofile mem.out
+
+# CPU and heap profiles of whole Synthesize calls on a 10k-node bulk
+# graph (BenchmarkSynthesizeScale in internal/core). The test binary and
+# both profiles go to PROFILE_DIR, outside the tree; inspect with
+# `go tool pprof -top $(PROFILE_DIR)/core.test $(PROFILE_DIR)/cpu.out`.
+PROFILE_DIR ?= $(or $(TMPDIR),/tmp)/gqs-profile-scale
+profile-scale:
+	mkdir -p $(PROFILE_DIR)
+	$(GO) test -run '^$$' -bench 'BenchmarkSynthesizeScale$$' -benchtime 200x -benchmem \
+		-o $(PROFILE_DIR)/core.test \
+		-cpuprofile $(PROFILE_DIR)/cpu.out -memprofile $(PROFILE_DIR)/mem.out ./internal/core/
 
 # Kill-and-resume differential under the race detector, repeated: a
 # campaign killed at a checkpoint boundary (journal tail torn on top)

@@ -248,7 +248,7 @@ func TestUniquifyGuarantee(t *testing.T) {
 				required = append(required, elemRef{id: o.Element, isRel: o.IsRel})
 			}
 		}
-		chains := collectChains(r, g, required)
+		chains := collectChains(r, g, &bfsScratch{}, required)
 		enc, binding := syn.encodeChains(chains, syn.elemScope)
 		pins := syn.uniquify(enc, syn.elemScope, binding)
 		if n := syn.countMatches(enc, syn.elemScope, pins, 3); n != 1 {

@@ -335,15 +335,35 @@ func (s *Synthesizer) evalRound(round eval.Compiled, v value.Value) (value.Value
 // result still matches only the pinned element.
 func (s *Synthesizer) pinPredicate(p pin, depth int) ast.Expr {
 	intended, _ := s.lookupProp(p.elem, "id")
+	ids, hasID := s.nodeIDColumn()
 	compVals := s.pinVals[:0]
 	for _, c := range p.competitors {
-		if v, ok := s.lookupProp(c, "id"); ok {
+		if !c.isRel {
+			if hasID[c.id] {
+				compVals = append(compVals, ids[c.id])
+			}
+		} else if v, ok := s.lookupProp(c, "id"); ok {
 			compVals = append(compVals, v)
 		}
 	}
 	s.pinVals = compVals
 	nested, v1 := s.complexifyAccess(p.varName, "id", intended, compVals, s.r.Intn(depth+1))
 	return ast.Bin(ast.OpEq, nested, genValueExpr(s.r, v1, s.r.Intn(depth+1)))
+}
+
+// nodeIDColumn returns the `id` property column over node IDs, building
+// it on first use.
+func (s *Synthesizer) nodeIDColumn() ([]value.Value, []bool) {
+	sc := s.nodes
+	if sc.ids == nil {
+		n := nodeSpan(s.g)
+		sc.ids = make([]value.Value, n)
+		sc.hasID = make([]bool, n)
+		for _, id := range s.g.NodeIDs() {
+			sc.ids[id], sc.hasID[id] = s.lookupProp(elemRef{id: id}, "id")
+		}
+	}
+	return sc.ids, sc.hasID
 }
 
 func (s *Synthesizer) lookupProp(e elemRef, name string) (value.Value, bool) {

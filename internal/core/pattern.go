@@ -79,73 +79,123 @@ func (p *Path) appendStep(s PathStep, to graph.ID) {
 	p.Nodes = append(p.Nodes, to)
 }
 
+// bfsScratch is the reusable working memory of bfsPath: per-node arrays
+// indexed by node ID, sized once to one graph's node ID range on first
+// use, that replace a per-call visited map. A node counts as visited in
+// the current search when its stamp equals the current epoch, so
+// starting a search costs one increment instead of a clear; the stamps
+// are cleared only when the epoch wraps. One scratch serves one graph
+// (synthesis never writes it) and one goroutine.
+type bfsScratch struct {
+	epoch  uint32
+	stamp  []uint32
+	crumbs []crumb
+	queue  []graph.ID
+}
+
+// crumb records how a search first reached a node: the node it came
+// from (-1 for a start node) and the traversal it took.
+type crumb struct {
+	prevNode graph.ID
+	step     PathStep
+}
+
+// begin opens a new search over g's nodes.
+func (b *bfsScratch) begin(g *graph.Graph) {
+	if b.stamp == nil {
+		n := nodeSpan(g)
+		b.stamp = make([]uint32, n)
+		b.crumbs = make([]crumb, n)
+	}
+	b.epoch++
+	if b.epoch == 0 {
+		clear(b.stamp)
+		b.epoch = 1
+	}
+}
+
+// nodeSpan returns one past the graph's largest node ID: the length of
+// an array indexed by node ID.
+func nodeSpan(g *graph.Graph) int {
+	ids := g.NodeIDs()
+	if len(ids) == 0 {
+		return 0
+	}
+	return int(ids[len(ids)-1]) + 1
+}
+
+// visit marks node id reached by crumb c, reporting false if the current
+// search had already reached it.
+func (b *bfsScratch) visit(id graph.ID, c crumb) bool {
+	if b.stamp[id] == b.epoch {
+		return false
+	}
+	b.stamp[id] = b.epoch
+	b.crumbs[id] = c
+	return true
+}
+
 // bfsPath finds a shortest undirected walk from one of the start nodes to
 // the target node, avoiding the given relationships. It returns nil when
-// the target is unreachable.
-func bfsPath(g *graph.Graph, starts []graph.ID, target graph.ID, avoid map[graph.ID]bool) *Path {
-	type crumb struct {
-		prevNode graph.ID
-		step     PathStep
-	}
-	visited := map[graph.ID]crumb{}
-	queue := append([]graph.ID(nil), starts...)
+// the target is unreachable. Starts and target must be node IDs of g.
+// Each node's out list is walked before its in list, the order of
+// Graph.Incident, so ties between equally short walks break the same way
+// as a search over Incident would.
+func (b *bfsScratch) bfsPath(g *graph.Graph, starts []graph.ID, target graph.ID, avoid map[graph.ID]bool) *Path {
+	b.begin(g)
+	queue := append(b.queue[:0], starts...)
 	for _, s := range starts {
-		visited[s] = crumb{prevNode: -1}
+		b.visit(s, crumb{prevNode: -1})
 	}
-	found := false
-	if contains(starts, target) {
-		found = true
+	found := contains(starts, target)
+	// reach visits next from cur over rid and reports whether it is the
+	// target.
+	reach := func(cur, next, rid graph.ID, fwd bool) bool {
+		if !b.visit(next, crumb{prevNode: cur, step: PathStep{Rel: rid, Forward: fwd}}) {
+			return false
+		}
+		if next == target {
+			return true
+		}
+		queue = append(queue, next)
+		return false
 	}
-	for len(queue) > 0 && !found {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, rid := range g.Incident(cur) {
-			if avoid[rid] {
-				continue
-			}
-			r := g.Rel(rid)
-			next := r.End
-			fwd := true
-			if next == cur && r.Start != r.End {
-				next = r.Start
-				fwd = false
-			} else if r.Start != cur {
-				next = r.Start
-				fwd = false
-			}
-			if _, seen := visited[next]; seen {
-				continue
-			}
-			visited[next] = crumb{prevNode: cur, step: PathStep{Rel: rid, Forward: fwd}}
-			if next == target {
+search:
+	for head := 0; head < len(queue) && !found; head++ {
+		cur := queue[head]
+		for _, rid := range g.Out(cur) {
+			if !avoid[rid] && reach(cur, g.Rel(rid).End, rid, true) {
 				found = true
-				break
+				break search
 			}
-			queue = append(queue, next)
+		}
+		for _, rid := range g.In(cur) {
+			// A self-loop leads back to cur, which is always visited.
+			if !avoid[rid] && reach(cur, g.Rel(rid).Start, rid, false) {
+				found = true
+				break search
+			}
 		}
 	}
+	b.queue = queue
 	if !found {
 		return nil
 	}
 	// Rebuild the walk back from the target.
-	var revNodes []graph.ID
-	var revSteps []PathStep
+	n := 1
+	for cur := target; b.crumbs[cur].prevNode != -1; cur = b.crumbs[cur].prevNode {
+		n++
+	}
+	out := &Path{Nodes: make([]graph.ID, n), Steps: make([]PathStep, n-1)}
 	cur := target
-	for {
-		revNodes = append(revNodes, cur)
-		c := visited[cur]
+	for i := n - 1; ; i-- {
+		out.Nodes[i] = cur
+		c := b.crumbs[cur]
 		if c.prevNode == -1 {
 			break
 		}
-		revSteps = append(revSteps, c.step)
+		out.Steps[i-1] = c.step
 		cur = c.prevNode
-	}
-	out := &Path{}
-	for i := len(revNodes) - 1; i >= 0; i-- {
-		out.Nodes = append(out.Nodes, revNodes[i])
-	}
-	for i := len(revSteps) - 1; i >= 0; i-- {
-		out.Steps = append(out.Steps, revSteps[i])
 	}
 	return out
 }
@@ -163,7 +213,7 @@ func contains(ids []graph.ID, id graph.ID) bool {
 // together contain every required element (§3.4, "GQS begins by
 // collecting paths through the graph that contain the elements to be
 // introduced"). Relationships are not repeated within the clause.
-func collectChains(r *rand.Rand, g *graph.Graph, required []elemRef) []*Path {
+func collectChains(r *rand.Rand, g *graph.Graph, bfs *bfsScratch, required []elemRef) []*Path {
 	reqNodes := map[graph.ID]bool{}
 	reqRels := map[graph.ID]bool{}
 	for _, e := range required {
@@ -217,10 +267,10 @@ func collectChains(r *rand.Rand, g *graph.Graph, required []elemRef) []*Path {
 			target, via = rel.Start, rel.End
 		}
 		ends := []graph.ID{c.Nodes[len(c.Nodes)-1]}
-		sub := bfsPath(g, ends, target, usedRels)
+		sub := bfs.bfsPath(g, ends, target, usedRels)
 		if sub == nil && e.isRel {
 			target, via = via, target
-			sub = bfsPath(g, ends, target, usedRels)
+			sub = bfs.bfsPath(g, ends, target, usedRels)
 		}
 		if sub == nil || len(sub.Nodes)+len(c.Nodes) > 8 {
 			return false

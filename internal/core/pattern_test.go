@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gqs/internal/graph"
@@ -24,7 +26,8 @@ func lineGraph(k int) *graph.Graph {
 func TestBFSPathFindsShortestWalk(t *testing.T) {
 	g := lineGraph(5)
 	ids := g.NodeIDs()
-	p := bfsPath(g, []graph.ID{ids[0]}, ids[4], nil)
+	var bfs bfsScratch
+	p := bfs.bfsPath(g, []graph.ID{ids[0]}, ids[4], nil)
 	if p == nil {
 		t.Fatal("no path found on a line graph")
 	}
@@ -37,7 +40,7 @@ func TestBFSPathFindsShortestWalk(t *testing.T) {
 		}
 	}
 	// Reverse direction works via incoming relationships.
-	p = bfsPath(g, []graph.ID{ids[4]}, ids[0], nil)
+	p = bfs.bfsPath(g, []graph.ID{ids[4]}, ids[0], nil)
 	if p == nil || len(p.Steps) != 4 || p.Steps[0].Forward {
 		t.Fatalf("reverse path broken: %+v", p)
 	}
@@ -46,13 +49,155 @@ func TestBFSPathFindsShortestWalk(t *testing.T) {
 	for _, rid := range g.RelIDs() {
 		avoid[rid] = true
 	}
-	if bfsPath(g, []graph.ID{ids[0]}, ids[4], avoid) != nil {
+	if bfs.bfsPath(g, []graph.ID{ids[0]}, ids[4], avoid) != nil {
 		t.Error("avoid set must block the path")
 	}
 	// Start == target.
-	p = bfsPath(g, []graph.ID{ids[2]}, ids[2], nil)
+	p = bfs.bfsPath(g, []graph.ID{ids[2]}, ids[2], nil)
 	if p == nil || len(p.Steps) != 0 {
 		t.Error("trivial path broken")
+	}
+}
+
+// refBFSPath is the map-based breadth-first search bfsPath replaced,
+// kept as the reference for the differential test below: a visited map
+// per call, and each node's relationships read through Graph.Incident.
+func refBFSPath(g *graph.Graph, starts []graph.ID, target graph.ID, avoid map[graph.ID]bool) *Path {
+	type crumb struct {
+		prevNode graph.ID
+		step     PathStep
+	}
+	visited := map[graph.ID]crumb{}
+	queue := append([]graph.ID(nil), starts...)
+	for _, s := range starts {
+		visited[s] = crumb{prevNode: -1}
+	}
+	found := false
+	if contains(starts, target) {
+		found = true
+	}
+	for len(queue) > 0 && !found {
+		cur := queue[0]
+		queue = queue[1:]
+		for _, rid := range g.Incident(cur) {
+			if avoid[rid] {
+				continue
+			}
+			r := g.Rel(rid)
+			next := r.End
+			fwd := true
+			if next == cur && r.Start != r.End {
+				next = r.Start
+				fwd = false
+			} else if r.Start != cur {
+				next = r.Start
+				fwd = false
+			}
+			if _, seen := visited[next]; seen {
+				continue
+			}
+			visited[next] = crumb{prevNode: cur, step: PathStep{Rel: rid, Forward: fwd}}
+			if next == target {
+				found = true
+				break
+			}
+			queue = append(queue, next)
+		}
+	}
+	if !found {
+		return nil
+	}
+	var revNodes []graph.ID
+	var revSteps []PathStep
+	cur := target
+	for {
+		revNodes = append(revNodes, cur)
+		c := visited[cur]
+		if c.prevNode == -1 {
+			break
+		}
+		revSteps = append(revSteps, c.step)
+		cur = c.prevNode
+	}
+	out := &Path{}
+	for i := len(revNodes) - 1; i >= 0; i-- {
+		out.Nodes = append(out.Nodes, revNodes[i])
+	}
+	for i := len(revSteps) - 1; i >= 0; i-- {
+		out.Steps = append(out.Steps, revSteps[i])
+	}
+	return out
+}
+
+// diffBFS runs queries random searches on g through one reused scratch
+// and the reference, failing on the first path that differs. It returns
+// how many searches found a walk of at least one step.
+func diffBFS(t *testing.T, r *rand.Rand, g *graph.Graph, bfs *bfsScratch, queries int) int {
+	t.Helper()
+	nodes, rels := g.NodeIDs(), g.RelIDs()
+	walks := 0
+	for q := 0; q < queries; q++ {
+		starts := make([]graph.ID, 1+r.Intn(3))
+		for i := range starts {
+			starts[i] = nodes[r.Intn(len(nodes))]
+		}
+		target := nodes[r.Intn(len(nodes))]
+		var avoid map[graph.ID]bool
+		if r.Intn(3) > 0 {
+			avoid = map[graph.ID]bool{}
+			for n := r.Intn(1 + len(rels)/3); n > 0; n-- {
+				avoid[rels[r.Intn(len(rels))]] = true
+			}
+		}
+		got := bfs.bfsPath(g, starts, target, avoid)
+		want := refBFSPath(g, starts, target, avoid)
+		if (got == nil) != (want == nil) ||
+			got != nil && (!slices.Equal(got.Nodes, want.Nodes) || !slices.Equal(got.Steps, want.Steps)) {
+			t.Fatalf("query %d: starts %v target %d avoid %v: got %+v, want %+v", q, starts, target, avoid, got, want)
+		}
+		if got != nil && len(got.Steps) > 0 {
+			walks++
+		}
+	}
+	return walks
+}
+
+// TestBFSPathMatchesReference is the scratch-array BFS differential:
+// on random small graphs (self-loops and parallel relationships
+// included), on a 2000-node bulk graph, and across an epoch wrap, the
+// scratch search returns exactly the reference's path, or nil with it.
+func TestBFSPathMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(61))
+	walks := 0
+	for trial := 0; trial < 60; trial++ {
+		g, _ := graph.Generate(r, graph.GenConfig{MaxNodes: 2 + r.Intn(12), MaxRels: r.Intn(40)})
+		if trial%2 == 0 {
+			g.Seal()
+		}
+		walks += diffBFS(t, r, g, &bfsScratch{}, 40)
+	}
+	if walks < 100 {
+		t.Fatalf("only %d small-graph searches found a walk", walks)
+	}
+
+	bulk, _ := graph.Generate(r, graph.GenConfig{Scale: 2000})
+	var bfs bfsScratch
+	if walks := diffBFS(t, r, bulk, &bfs, 400); walks < 100 {
+		t.Fatalf("only %d bulk searches found a walk", walks)
+	}
+
+	// Stamps from before a wrap carry the epochs the searches after it
+	// reuse; they must not leak across it. Stamp every node with epoch 1,
+	// as a search reaching the whole graph would, then wrap.
+	var wrap bfsScratch
+	diffBFS(t, r, bulk, &wrap, 1)
+	for i := range wrap.stamp {
+		wrap.stamp[i] = 1
+	}
+	wrap.epoch = math.MaxUint32
+	diffBFS(t, r, bulk, &wrap, 8)
+	if wrap.epoch != 8 {
+		t.Fatalf("epoch %d after wrapping, want 8", wrap.epoch)
 	}
 }
 
@@ -68,7 +213,7 @@ func TestCollectChainsCoversRequired(t *testing.T) {
 		for i := 0; i < 2 && i < len(rels); i++ {
 			required = append(required, elemRef{id: rels[r.Intn(len(rels))], isRel: true})
 		}
-		chains := collectChains(r, g, required)
+		chains := collectChains(r, g, &bfsScratch{}, required)
 		for _, e := range required {
 			found := false
 			for _, c := range chains {
@@ -113,9 +258,9 @@ func TestMutateChainsKeepsWalksValid(t *testing.T) {
 		g, _ := graph.Generate(r, graph.GenConfig{MaxNodes: 10, MaxRels: 30})
 		nodes := g.NodeIDs()
 		req1 := []elemRef{{id: nodes[r.Intn(len(nodes))]}}
-		history := collectChains(r, g, req1)
+		history := collectChains(r, g, &bfsScratch{}, req1)
 		req2 := []elemRef{{id: nodes[r.Intn(len(nodes))]}}
-		base := collectChains(r, g, req2)
+		base := collectChains(r, g, &bfsScratch{}, req2)
 		mutated := mutateChains(r, base, history)
 		if len(mutated) == 0 {
 			t.Fatalf("trial %d: mutation dropped all chains", trial)
@@ -152,7 +297,7 @@ func TestMutateChainsKeepsWalksValid(t *testing.T) {
 func TestPathHelpers(t *testing.T) {
 	g := lineGraph(4)
 	ids := g.NodeIDs()
-	p := bfsPath(g, []graph.ID{ids[0]}, ids[3], nil)
+	p := new(bfsScratch).bfsPath(g, []graph.ID{ids[0]}, ids[3], nil)
 	rev := p.reverse()
 	if rev.Nodes[0] != p.Nodes[len(p.Nodes)-1] {
 		t.Error("reverse must flip endpoints")
@@ -192,7 +337,7 @@ func TestEncodeChainsBindings(t *testing.T) {
 			required = append(required, elemRef{id: o.Element, isRel: o.IsRel})
 		}
 	}
-	chains := collectChains(r, g, required)
+	chains := collectChains(r, g, &bfsScratch{}, required)
 	enc, binding := syn.encodeChains(chains, map[string]int64{})
 	// Every named pattern element has a binding consistent with the
 	// chain's concrete IDs.

@@ -30,3 +30,30 @@ func BenchmarkPinPredicateScale(b *testing.B) {
 }
 
 var benchPinSink ast.Expr
+
+// BenchmarkSynthesizeScale measures whole Synthesize calls on a sealed
+// 10k-node bulk graph with the campaign's result-set bound, cycling
+// through a fixed set of ground truths: pattern collection, pinning,
+// the global uniqueness count and projection together, as one campaign
+// query pays for them.
+func BenchmarkSynthesizeScale(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	g, schema := graph.Generate(r, graph.GenConfig{Scale: 10000})
+	g.Seal()
+	syn := NewSynthesizer(r, g, schema, DefaultConfig())
+	gts := make([]*GroundTruth, 16)
+	for i := range gts {
+		gts[i] = SelectGroundTruth(r, g, 6)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sq, err := syn.Synthesize(gts[i%len(gts)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSynthSink = sq
+	}
+}
+
+var benchSynthSink *Synthesized

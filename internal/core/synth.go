@@ -87,6 +87,21 @@ type Synthesizer struct {
 	// template filter; the selection only reads the current round's
 	// contents, so the backing array carries over between rounds.
 	tmplScratch []exprTemplate
+	// nodes is the per-graph scratch indexed by node ID; a UNION
+	// sub-synthesizer shares its parent's.
+	nodes *nodeScratch
+}
+
+// nodeScratch is a synthesizer's working memory indexed by node ID
+// (DESIGN.md §15): arrays built on first use that replace per-call maps
+// and per-element property lookups. Synthesis never writes its graph,
+// so they stay valid for the synthesizer's lifetime.
+type nodeScratch struct {
+	bfs bfsScratch
+	// ids[n] is node n's `id` property and hasID[n] whether it has one:
+	// the column pinPredicate reads competitor values from.
+	ids   []value.Value
+	hasID []bool
 }
 
 // NewSynthesizer creates a synthesizer over the generated graph.
@@ -94,7 +109,7 @@ func NewSynthesizer(r *rand.Rand, g *graph.Graph, schema *graph.Schema, cfg Conf
 	if cfg.MaxSteps == 0 {
 		cfg = DefaultConfig()
 	}
-	return &Synthesizer{r: r, g: g, schema: schema, cfg: cfg}
+	return &Synthesizer{r: r, g: g, schema: schema, cfg: cfg, nodes: &nodeScratch{}}
 }
 
 func (s *Synthesizer) pct(p int) bool { return s.r.Intn(100) < p }
@@ -150,6 +165,7 @@ func (s *Synthesizer) synthesize(gt *GroundTruth, allowUnion bool) (*Synthesized
 
 	if allowUnion && s.pct(s.cfg.UnionPct) {
 		second := NewSynthesizer(s.r, s.g, s.schema, s.cfg)
+		second.nodes = s.nodes
 		s2, err := second.synthesize(gt, false)
 		if err == nil {
 			all := s.r.Intn(2) == 0
@@ -213,7 +229,7 @@ func (s *Synthesizer) synthMatch(step *Step) (ast.Clause, error) {
 	for _, o := range step.Ops.OfKind(OpAddElem) {
 		required = append(required, elemRef{id: o.Element, isRel: o.IsRel})
 	}
-	chains := collectChains(s.r, s.g, required)
+	chains := collectChains(s.r, s.g, &s.nodes.bfs, required)
 	if len(chains) == 0 {
 		return nil, fmt.Errorf("empty graph: cannot synthesize MATCH")
 	}

@@ -1,0 +1,95 @@
+package experiments
+
+import (
+	"context"
+	"fmt"
+	"hash/fnv"
+	"slices"
+	"sync"
+	"testing"
+	"time"
+
+	"gqs/internal/core"
+	"gqs/internal/gdb"
+	"gqs/internal/graph"
+)
+
+// bulkCampaignDigest is the FNV-64a of every case of the reference bulk
+// campaign below, in (shard, seq) order. Synthesis, graph-layout and
+// executor changes must leave it unchanged: a different value means a
+// query text, an RNG draw or a verdict moved.
+const bulkCampaignDigest = "27ed95f09c49641c"
+
+// bulkCase is one test case of the reference bulk campaign.
+type bulkCase struct {
+	shard, seq     int
+	query, verdict string
+}
+
+// runBulkCampaign runs GQS on the fault-free reference target over
+// 1000-node bulk graphs — the scale-10k campaign shape at a tenth of the
+// size — and returns every case sorted by (shard, seq). Nearly every case
+// is a logic-bug verdict today: bulk relationships carry no `id`
+// property, so a pin on one compares with null. The digest pins those
+// verdicts as they stand.
+func runBulkCampaign(workers int) []bulkCase {
+	const seed, iterations = 1, 8
+	cfg := core.DefaultRunnerConfig()
+	cfg.Seed = seed
+	cfg.Graph = graph.GenConfig{MaxNodes: 13, MaxRels: 60, Scale: 1000}
+	cfg.Synth.MaxSteps = 9
+	cfg.Synth.Plan.MaxResultSet = 6
+	cfg.Robust.Timeout = 20 * time.Second
+	cfg.Robust.Retries = 2
+	connect := gdb.NewFactory(gdb.FactoryConfig{GDB: "reference", Seed: seed})
+	var mu sync.Mutex
+	var cases []bulkCase
+	pcfg := core.ParallelConfig{Workers: workers, Iterations: iterations, Batch: 1, Runner: cfg}
+	core.RunCheckpointedParallel(context.Background(), pcfg, "reference",
+		func(shard int) (core.Target, error) { return connect(shard) },
+		func(shard int, _ core.Target, tc *core.TestCase) {
+			mu.Lock()
+			cases = append(cases, bulkCase{shard, tc.Seq, tc.Query, tc.Verdict.String()})
+			mu.Unlock()
+		}, nil, core.DurableHooks{})
+	slices.SortFunc(cases, func(a, b bulkCase) int {
+		if a.shard != b.shard {
+			return a.shard - b.shard
+		}
+		return a.seq - b.seq
+	})
+	return cases
+}
+
+func digestCases(cases []bulkCase) string {
+	h := fnv.New64a()
+	for _, c := range cases {
+		fmt.Fprintf(h, "%d\x00%d\x00%s\x00%s\n", c.shard, c.seq, c.query, c.verdict)
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestBulkCampaignDigest pins the per-case outcome of a bulk-graph
+// campaign: every query text and verdict at one worker hashes to the
+// recorded digest, and two workers produce the same cases.
+func TestBulkCampaignDigest(t *testing.T) {
+	one := runBulkCampaign(1)
+	if want := 8 * core.DefaultRunnerConfig().QueriesPerGraph * core.DefaultRunnerConfig().QueriesPerGT; len(one) != want {
+		t.Fatalf("%d cases, want %d", len(one), want)
+	}
+	pass := 0
+	for _, c := range one {
+		if c.verdict == core.VerdictPass.String() {
+			pass++
+		}
+	}
+	if pass == 0 {
+		t.Fatal("no case passed: the campaign synthesized nothing checkable")
+	}
+	if got := digestCases(one); got != bulkCampaignDigest {
+		t.Fatalf("digest %s, want %s (%d cases, %d pass)", got, bulkCampaignDigest, len(one), pass)
+	}
+	if two := runBulkCampaign(2); !slices.Equal(one, two) {
+		t.Fatal("1 and 2 workers produced different cases")
+	}
+}

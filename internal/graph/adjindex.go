@@ -79,7 +79,7 @@ func (ix *AdjIndex) SelfLoopIn(n ID) int {
 // scratch arrays, so grouping a node's adjacency list by type costs no
 // allocation beyond the shared entry backing array. Every relationship
 // appears in exactly one out list and one in list, so each direction's
-// entries total len(s.rels) and are carved from a single slab — at bulk
+// entries total s.NumRels() and are carved from a single slab — at bulk
 // scale, growing one bucket slice per entry is the dominant build cost.
 type adjBuilder struct {
 	typIdx map[string]int32
@@ -89,11 +89,10 @@ type adjBuilder struct {
 	others []ID    // per-entry far endpoint of the current list
 	selfs  []bool  // per-entry self-loop flag (in lists only)
 
-	// Dense rel-ID fast path: when the snapshot's relationship IDs form
-	// a contiguous range (always true for bulk-generated graphs), meta
-	// holds each relationship's endpoints and interned type at rid -
-	// relBase, replacing two hashed lookups per adjacency entry into a
-	// snapshot-sized map with one indexed read.
+	// meta parallels the snapshot's relationship table: each
+	// relationship's endpoints and interned type at rid - relBase, so an
+	// adjacency entry costs one indexed read instead of a type-string
+	// hash.
 	meta    []relMeta
 	relBase ID
 }
@@ -129,25 +128,17 @@ func (b *adjBuilder) scratch(n int) {
 // subslices of back (filled in list order, so buckets ascend in Pos)
 // and installs the buckets. in selects the in-list entry shape: Other =
 // Start, self-loops flagged, NSPos compacted.
-func (b *adjBuilder) carve(ix *AdjIndex, s *Snapshot, n ID, list []ID, back []AdjEntry, in bool) []AdjEntry {
+func (b *adjBuilder) carve(ix *AdjIndex, n ID, list []ID, back []AdjEntry, in bool) []AdjEntry {
 	b.scratch(len(list))
 	for pos, rid := range list {
-		var ti int32
-		var start, end ID
-		if b.meta != nil {
-			m := &b.meta[rid-b.relBase]
-			ti, start, end = m.ti, m.start, m.end
-		} else {
-			r := s.rels[rid]
-			ti, start, end = b.idxOf(r.Type), r.Start, r.End
-		}
-		b.tis[pos] = ti
-		b.counts[ti]++
+		m := &b.meta[rid-b.relBase]
+		b.tis[pos] = m.ti
+		b.counts[m.ti]++
 		if in {
-			b.others[pos] = start
-			b.selfs[pos] = start == end
+			b.others[pos] = m.start
+			b.selfs[pos] = m.start == m.end
 		} else {
-			b.others[pos] = end
+			b.others[pos] = m.end
 		}
 	}
 	base := len(back)
@@ -193,26 +184,23 @@ func (b *adjBuilder) carve(ix *AdjIndex, s *Snapshot, n ID, list []ID, back []Ad
 func buildAdjIndex(s *Snapshot) *AdjIndex {
 	ix := &AdjIndex{
 		typIdx: make(map[string]int32, 16),
-		out:    make(map[adjKey][]AdjEntry, len(s.out)),
-		in:     make(map[adjKey][]AdjEntry, len(s.in)),
+		out:    make(map[adjKey][]AdjEntry, s.NumNodes()),
+		in:     make(map[adjKey][]AdjEntry, s.NumNodes()),
 		selfIn: make(map[ID]int32),
 	}
-	b := &adjBuilder{typIdx: ix.typIdx}
-	if n := len(s.relIDs); n > 0 && int(s.relIDs[n-1]-s.relIDs[0]) == n-1 {
-		b.relBase = s.relIDs[0]
-		b.meta = make([]relMeta, n)
-		for rid, r := range s.rels {
-			b.meta[rid-b.relBase] = relMeta{start: r.Start, end: r.End, ti: b.idxOf(r.Type)}
-		}
+	b := &adjBuilder{typIdx: ix.typIdx, relBase: s.relBase, meta: make([]relMeta, len(s.rels))}
+	for _, rid := range s.relIDs {
+		r := s.Rel(rid)
+		b.meta[rid-b.relBase] = relMeta{start: r.Start, end: r.End, ti: b.idxOf(r.Type)}
 	}
-	outBack := make([]AdjEntry, 0, len(s.rels))
-	inBack := make([]AdjEntry, 0, len(s.rels))
+	outBack := make([]AdjEntry, 0, s.NumRels())
+	inBack := make([]AdjEntry, 0, s.NumRels())
 	for _, n := range s.nodeIDs {
-		if list := s.out[n]; len(list) > 0 {
-			outBack = b.carve(ix, s, n, list, outBack, false)
+		if list := s.Out(n); len(list) > 0 {
+			outBack = b.carve(ix, n, list, outBack, false)
 		}
-		if list := s.in[n]; len(list) > 0 {
-			inBack = b.carve(ix, s, n, list, inBack, true)
+		if list := s.In(n); len(list) > 0 {
+			inBack = b.carve(ix, n, list, inBack, true)
 		}
 	}
 	return ix

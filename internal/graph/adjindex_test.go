@@ -24,14 +24,14 @@ func TestAdjIndexMatchesAdjacencyLists(t *testing.T) {
 		wantIn := map[key][]AdjEntry{}
 		wantSelf := map[ID]int32{}
 		for _, n := range snap.NodeIDs() {
-			for pos, rid := range snap.out[n] {
+			for pos, rid := range snap.Out(n) {
 				rel := snap.Rel(rid)
 				k := key{n, rel.Type}
 				p := int32(pos)
 				wantOut[k] = append(wantOut[k], AdjEntry{Rel: rid, Other: rel.End, Pos: p, NSPos: p})
 			}
 			ns := int32(0)
-			for pos, rid := range snap.in[n] {
+			for pos, rid := range snap.In(n) {
 				rel := snap.Rel(rid)
 				e := AdjEntry{Rel: rid, Other: rel.Start, Pos: int32(pos)}
 				if rel.Start == rel.End {
@@ -181,15 +181,26 @@ func TestGenerateBulk(t *testing.T) {
 	}
 
 	maxOut := 0
-	for id, list := range g.out {
+	for _, id := range g.NodeIDs() {
+		list := g.Out(id)
 		prev := ID(-1)
 		for _, rid := range list {
 			if rid <= prev {
 				t.Fatalf("node %d: out list not ascending: %v", id, list)
 			}
 			prev = rid
-			if g.rels[rid].Start != id {
-				t.Fatalf("node %d: out list holds rel %d starting at %d", id, rid, g.rels[rid].Start)
+			if g.Rel(rid).Start != id {
+				t.Fatalf("node %d: out list holds rel %d starting at %d", id, rid, g.Rel(rid).Start)
+			}
+		}
+		prev = ID(-1)
+		for _, rid := range g.In(id) {
+			if rid <= prev {
+				t.Fatalf("node %d: in list not ascending: %v", id, g.In(id))
+			}
+			prev = rid
+			if g.Rel(rid).End != id {
+				t.Fatalf("node %d: in list holds rel %d ending at %d", id, rid, g.Rel(rid).End)
 			}
 		}
 		if len(list) > maxOut {
@@ -203,18 +214,28 @@ func TestGenerateBulk(t *testing.T) {
 
 	// Determinism: same seed, same graph.
 	g2, _ := gen(11)
-	if !reflect.DeepEqual(g.out, g2.out) || !reflect.DeepEqual(g.in, g2.in) {
-		t.Fatal("bulk generation is not deterministic per seed")
+	if !reflect.DeepEqual(g.NodeIDs(), g2.NodeIDs()) || !reflect.DeepEqual(g.RelIDs(), g2.RelIDs()) {
+		t.Fatal("bulk generation is not deterministic per seed: element IDs differ")
 	}
-	for id, r := range g.rels {
-		r2 := g2.rels[id]
+	for _, id := range g.NodeIDs() {
+		if !reflect.DeepEqual(g.Out(id), g2.Out(id)) || !reflect.DeepEqual(g.In(id), g2.In(id)) {
+			t.Fatal("bulk generation is not deterministic per seed")
+		}
+	}
+	for _, id := range g.RelIDs() {
+		r, r2 := g.Rel(id), g2.Rel(id)
 		if r2 == nil || r.Type != r2.Type || r.Start != r2.Start || r.End != r2.End {
 			t.Fatalf("rel %d differs across identical seeds", id)
 		}
 	}
 
-	// Sealing must adopt the bulk tables unchanged.
+	// Sealing must adopt the bulk tables unchanged: the generator
+	// returns an empty overlay, so Seal hands back its base.
+	base := g.Base()
 	snap := g.Seal()
+	if base == nil || snap != base {
+		t.Fatal("sealing a bulk graph must return the snapshot it was generated into")
+	}
 	if snap.NumNodes() != scale || len(snap.RelIDs()) != bulkRelFactor*scale {
 		t.Fatalf("sealed counts: %d nodes, %d rels", snap.NumNodes(), len(snap.RelIDs()))
 	}

@@ -11,10 +11,12 @@ import (
 // Where the paper's generator builds ~13-node graphs one element at a
 // time (NewNode/NewRel maintaining adjacency incrementally, the store
 // indexing per element), generateBulk writes a Scale-node graph
-// straight into presized tables and carves all adjacency lists from two
-// shared backing arrays in one counting pass. No per-element index
-// churn happens at all: label/property indexes and the adjacency index
-// are each built exactly once when the graph is sealed and first read.
+// straight into the ID-indexed tables of a Snapshot and carves all
+// adjacency lists from two shared backing arrays in one counting pass.
+// The result is an overlay over that snapshot, so sealing it is free
+// (Seal returns the base), and no per-element index churn happens at
+// all: label/property indexes and the adjacency index are each built
+// exactly once when the snapshot is first read.
 //
 // Relationship endpoints are drawn by preferential attachment — every
 // accepted endpoint re-enters the draw pool — so degree follows a
@@ -35,8 +37,10 @@ const bulkRelFactor = 3
 // distribution (s > 1 required by rand.NewZipf).
 const bulkTypeSkew = 1.5
 
-// generateBulk builds the Scale-node power-law graph. Deterministic for
-// a given rand source, like Generate.
+// generateBulk builds the Scale-node power-law graph: nodes 0..N-1 and
+// relationships N..N+R-1, so both snapshot tables are dense. It returns
+// an empty overlay over the filled snapshot. Deterministic for a given
+// rand source, like Generate.
 func generateBulk(r *rand.Rand, cfg GenConfig) (*Graph, *Schema) {
 	cfg = cfg.withDefaults()
 	nNodes := cfg.Scale
@@ -65,11 +69,15 @@ func generateBulk(r *rand.Rand, cfg GenConfig) (*Graph, *Schema) {
 		s.Indexes = append(s.Indexes, IndexSpec{Label: l, Property: "k0"})
 	}
 
-	g := &Graph{
-		nodes: make(map[ID]*Node, nNodes),
-		rels:  make(map[ID]*Rel, nRels),
-		out:   make(map[ID][]ID, nNodes),
-		in:    make(map[ID][]ID, nNodes),
+	snap := &Snapshot{
+		nodes:   make([]*Node, nNodes),
+		rels:    make([]*Rel, nRels),
+		out:     make([][]ID, nNodes),
+		in:      make([][]ID, nNodes),
+		relBase: ID(nNodes),
+		nextID:  ID(nNodes + nRels),
+		nodeIDs: make([]ID, nNodes),
+		relIDs:  make([]ID, nRels),
 	}
 	// Nodes 0..nNodes-1: one label, props id + k0 (both the element ID,
 	// k0 being the indexed probe key). Node structs and their one-label
@@ -88,7 +96,8 @@ func generateBulk(r *rand.Rand, cfg GenConfig) (*Graph, *Schema) {
 		n.Props = make(map[string]value.Value, 2)
 		n.Props["id"] = value.Int(int64(id))
 		n.Props["k0"] = value.Int(int64(id))
-		g.nodes[id] = n
+		snap.nodes[i] = n
+		snap.nodeIDs[i] = id
 	}
 
 	// Endpoint draws: Barabási–Albert-style arrival. Relationships are
@@ -151,7 +160,8 @@ func generateBulk(r *rand.Rand, cfg GenConfig) (*Graph, *Schema) {
 		// truth on large graphs comes from nodes (the sampled selector
 		// skips prop-less elements). Writes still work — the COW copy
 		// materializes an empty map.
-		g.rels[rid] = rel
+		snap.rels[i] = rel
+		snap.relIDs[i] = rid
 		outBack[outPos[a]] = rid
 		outPos[a]++
 		inBack[inPos[b]] = rid
@@ -159,14 +169,11 @@ func generateBulk(r *rand.Rand, cfg GenConfig) (*Graph, *Schema) {
 	}
 	for i := 0; i < nNodes; i++ {
 		if outDeg[i] > 0 {
-			g.out[ID(i)] = outBack[outOff[i]:outOff[i+1]:outOff[i+1]]
+			snap.out[i] = outBack[outOff[i]:outOff[i+1]:outOff[i+1]]
 		}
 		if inDeg[i] > 0 {
-			g.in[ID(i)] = inBack[inOff[i]:inOff[i+1]:inOff[i+1]]
+			snap.in[i] = inBack[inOff[i]:inOff[i+1]:inOff[i+1]]
 		}
 	}
-	g.nextID = ID(nNodes + nRels)
-	g.numNodes = nNodes
-	g.numRels = nRels
-	return g, s
+	return FromSnapshot(snap), s
 }

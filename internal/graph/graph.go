@@ -129,33 +129,37 @@ func (g *Graph) NewRel(start, end ID, typ string) (*Rel, error) {
 	r := &Rel{ID: id, Type: typ, Start: start, End: end, Props: map[string]value.Value{"id": value.Int(id)}}
 	g.rels[id] = r
 	g.numRels++
-	g.adjAppend(g.out, g.baseOut(), start, id)
-	g.adjAppend(g.in, g.baseIn(), end, id)
+	g.adjAppend(g.out, g.baseOut(start), start, id)
+	g.adjAppend(g.in, g.baseIn(end), end, id)
 	return r, nil
 }
 
-func (g *Graph) baseOut() map[ID][]ID {
+// baseOut returns the node's out list in the base snapshot (nil for a
+// plain graph).
+func (g *Graph) baseOut(n ID) []ID {
 	if g.base != nil {
-		return g.base.out
+		return g.base.Out(n)
 	}
 	return nil
 }
 
-func (g *Graph) baseIn() map[ID][]ID {
+// baseIn is baseOut for in lists.
+func (g *Graph) baseIn(n ID) []ID {
 	if g.base != nil {
-		return g.base.in
+		return g.base.In(n)
 	}
 	return nil
 }
 
 // adjAppend appends rid to the node's adjacency list in the overlay map
-// ov, copying the base list first when the overlay has no entry yet.
-func (g *Graph) adjAppend(ov, base map[ID][]ID, n, rid ID) {
+// ov, copying the node's base list b first when the overlay has no entry
+// yet.
+func (g *Graph) adjAppend(ov map[ID][]ID, b []ID, n, rid ID) {
 	if ids, ok := ov[n]; ok {
 		ov[n] = append(ids, rid)
 		return
 	}
-	if b := base[n]; len(b) > 0 {
+	if len(b) > 0 {
 		g.cow.AdjCopies++
 		ids := make([]ID, len(b), len(b)+1)
 		copy(ids, b)
@@ -165,14 +169,13 @@ func (g *Graph) adjAppend(ov, base map[ID][]ID, n, rid ID) {
 	ov[n] = []ID{rid}
 }
 
-// adjRemove removes rid from the node's adjacency list, copying the base
-// list into the overlay first when needed.
-func (g *Graph) adjRemove(ov, base map[ID][]ID, n, rid ID) {
+// adjRemove removes rid from the node's adjacency list, copying the
+// node's base list b into the overlay first when needed.
+func (g *Graph) adjRemove(ov map[ID][]ID, b []ID, n, rid ID) {
 	if ids, ok := ov[n]; ok {
 		ov[n] = removeID(ids, rid)
 		return
 	}
-	b := base[n]
 	if len(b) == 0 {
 		return
 	}
@@ -184,21 +187,28 @@ func (g *Graph) adjRemove(ov, base map[ID][]ID, n, rid ID) {
 
 // Node returns the node with the given ID, or nil. The returned node is
 // a read-only view when it still lives in a shared base snapshot; every
-// mutation must go through MutableNode (the engine store does).
+// mutation must go through MutableNode (the engine store does). An
+// overlay with no node entries reads the base table directly.
 func (g *Graph) Node(id ID) *Node {
+	if g.base != nil && len(g.nodes) == 0 {
+		return g.base.Node(id)
+	}
 	if n, ok := g.nodes[id]; ok || g.base == nil {
 		return n
 	}
-	return g.base.nodes[id]
+	return g.base.Node(id)
 }
 
 // Rel returns the relationship with the given ID, or nil (read-only when
 // base-resident; mutate via MutableRel).
 func (g *Graph) Rel(id ID) *Rel {
+	if g.base != nil && len(g.rels) == 0 {
+		return g.base.Rel(id)
+	}
 	if r, ok := g.rels[id]; ok || g.base == nil {
 		return r
 	}
-	return g.base.rels[id]
+	return g.base.Rel(id)
 }
 
 // MutableNode returns the node ready for in-place mutation, copying its
@@ -209,7 +219,7 @@ func (g *Graph) MutableNode(id ID) *Node {
 	if n, ok := g.nodes[id]; ok || g.base == nil {
 		return n
 	}
-	n := g.base.nodes[id]
+	n := g.base.Node(id)
 	if n == nil {
 		return nil
 	}
@@ -229,7 +239,7 @@ func (g *Graph) MutableRel(id ID) *Rel {
 	if r, ok := g.rels[id]; ok || g.base == nil {
 		return r
 	}
-	r := g.base.rels[id]
+	r := g.base.Rel(id)
 	if r == nil {
 		return nil
 	}
@@ -264,7 +274,7 @@ func (g *Graph) NodeIDs() []ID {
 	if len(g.nodes) == 0 {
 		return g.base.nodeIDs
 	}
-	return mergeIDs(g.base.nodeIDs, g.nodes, g.base.nodes, g.numNodes)
+	return mergeIDs(g.base.nodeIDs, g.nodes, g.base.Node, g.numNodes)
 }
 
 // RelIDs returns all relationship IDs in ascending order (shared,
@@ -281,14 +291,14 @@ func (g *Graph) RelIDs() []ID {
 	if len(g.rels) == 0 {
 		return g.base.relIDs
 	}
-	return mergeIDs(g.base.relIDs, g.rels, g.base.rels, g.numRels)
+	return mergeIDs(g.base.relIDs, g.rels, g.base.Rel, g.numRels)
 }
 
 // mergeIDs folds an overlay into the base's ascending ID list: base IDs
 // minus tombstones, then overlay additions. Additions sort strictly
 // after every base ID (the counter is monotonic), so the result stays
 // ascending.
-func mergeIDs[E any](baseIDs []ID, overlay, base map[ID]*E, total int) []ID {
+func mergeIDs[E any](baseIDs []ID, overlay map[ID]*E, base func(ID) *E, total int) []ID {
 	ids := make([]ID, 0, total)
 	for _, id := range baseIDs {
 		if e, ok := overlay[id]; !ok || e != nil {
@@ -300,7 +310,7 @@ func mergeIDs[E any](baseIDs []ID, overlay, base map[ID]*E, total int) []ID {
 		if e == nil {
 			continue
 		}
-		if _, inBase := base[id]; !inBase {
+		if base(id) == nil {
 			added = append(added, id)
 		}
 	}
@@ -311,19 +321,25 @@ func mergeIDs[E any](baseIDs []ID, overlay, base map[ID]*E, total int) []ID {
 // Out returns the IDs of relationships leaving the node, in insertion
 // order. The slice may be shared with the base snapshot; read-only.
 func (g *Graph) Out(n ID) []ID {
+	if g.base != nil && len(g.out) == 0 {
+		return g.base.Out(n)
+	}
 	if ids, ok := g.out[n]; ok || g.base == nil {
 		return ids
 	}
-	return g.base.out[n]
+	return g.base.Out(n)
 }
 
 // In returns the IDs of relationships entering the node, in insertion
 // order (shared, read-only — see Out).
 func (g *Graph) In(n ID) []ID {
+	if g.base != nil && len(g.in) == 0 {
+		return g.base.In(n)
+	}
 	if ids, ok := g.in[n]; ok || g.base == nil {
 		return ids
 	}
-	return g.base.in[n]
+	return g.base.In(n)
 }
 
 // Incident returns all relationship IDs touching the node (out then in).
@@ -353,7 +369,7 @@ func (g *Graph) DeleteNode(id ID, detach bool) error {
 			}
 		}
 	}
-	if g.base != nil && g.base.nodes[id] != nil {
+	if g.base != nil && g.base.Node(id) != nil {
 		// Tombstone: a nil overlay entry shadows the base element, and
 		// present (nil) adjacency entries shadow the base lists.
 		g.nodes[id] = nil
@@ -374,9 +390,9 @@ func (g *Graph) DeleteRel(id ID) {
 	if r == nil {
 		return
 	}
-	g.adjRemove(g.out, g.baseOut(), r.Start, id)
-	g.adjRemove(g.in, g.baseIn(), r.End, id)
-	if g.base != nil && g.base.rels[id] != nil {
+	g.adjRemove(g.out, g.baseOut(r.Start), r.Start, id)
+	g.adjRemove(g.in, g.baseIn(r.End), r.End, id)
+	if g.base != nil && g.base.Rel(id) != nil {
 		g.rels[id] = nil
 	} else {
 		delete(g.rels, id)

@@ -14,11 +14,21 @@ import (
 // the database between oracle checks without reloading it: all five
 // simulated GDBs of one campaign iteration share a single snapshot and
 // each pays only for the entries it writes.
+//
+// The tables are ID-indexed slices, not maps (DESIGN.md §15). Each kind
+// spans only its own ID range: nodes[i] is the node with ID nodeBase+i,
+// rels[i] the relationship with ID relBase+i, and out[i]/in[i] are the
+// adjacency lists of node nodeBase+i. An ID inside the range that names
+// no element (the other kind's ID, or a deleted element) holds nil.
+// Every read goes through the bounds-checked accessors below, so any ID
+// — negative, another kind's, or far past the table — yields nil.
 type Snapshot struct {
-	nodes map[ID]*Node
-	rels  map[ID]*Rel
-	out   map[ID][]ID
-	in    map[ID][]ID
+	nodes    []*Node
+	rels     []*Rel
+	out      [][]ID
+	in       [][]ID
+	nodeBase ID
+	relBase  ID
 	// nextID is the ID counter at seal time; overlay graphs start their
 	// counter here so newly created element IDs never collide with base
 	// IDs (the counter is monotonic and IDs are never reused).
@@ -40,10 +50,10 @@ type Snapshot struct {
 }
 
 // NumNodes returns the number of nodes in the snapshot.
-func (s *Snapshot) NumNodes() int { return len(s.nodes) }
+func (s *Snapshot) NumNodes() int { return len(s.nodeIDs) }
 
 // NumRels returns the number of relationships in the snapshot.
-func (s *Snapshot) NumRels() int { return len(s.rels) }
+func (s *Snapshot) NumRels() int { return len(s.relIDs) }
 
 // NodeIDs returns all node IDs ascending. The slice is shared and
 // read-only.
@@ -56,11 +66,39 @@ func (s *Snapshot) RelIDs() []ID { return s.relIDs }
 // Node returns the snapshot's node with the given ID, or nil. The node is
 // shared and must not be mutated; writers go through an overlay graph's
 // MutableNode.
-func (s *Snapshot) Node(id ID) *Node { return s.nodes[id] }
+func (s *Snapshot) Node(id ID) *Node {
+	if i := id - s.nodeBase; i >= 0 && i < ID(len(s.nodes)) {
+		return s.nodes[i]
+	}
+	return nil
+}
 
 // Rel returns the snapshot's relationship with the given ID, or nil
 // (shared, read-only).
-func (s *Snapshot) Rel(id ID) *Rel { return s.rels[id] }
+func (s *Snapshot) Rel(id ID) *Rel {
+	if i := id - s.relBase; i >= 0 && i < ID(len(s.rels)) {
+		return s.rels[i]
+	}
+	return nil
+}
+
+// Out returns the IDs of relationships leaving the snapshot's node, in
+// insertion order, or nil (shared, read-only).
+func (s *Snapshot) Out(n ID) []ID {
+	if i := n - s.nodeBase; i >= 0 && i < ID(len(s.out)) {
+		return s.out[i]
+	}
+	return nil
+}
+
+// In returns the IDs of relationships entering the snapshot's node, in
+// insertion order, or nil (shared, read-only).
+func (s *Snapshot) In(n ID) []ID {
+	if i := n - s.nodeBase; i >= 0 && i < ID(len(s.in)) {
+		return s.in[i]
+	}
+	return nil
+}
 
 // Index returns the label/property index of this snapshot under the
 // given schema, building it on the first request and caching it per
@@ -72,7 +110,7 @@ func (s *Snapshot) Index(schema *Schema) *Index {
 	if ix, ok := s.idx[schema]; ok {
 		return ix
 	}
-	ix := BuildIndex(s.nodeIDs, func(id ID) *Node { return s.nodes[id] }, schema)
+	ix := BuildIndex(s.nodeIDs, s.Node, schema)
 	if s.idx == nil {
 		s.idx = make(map[*Schema]*Index, 1)
 	}
@@ -82,12 +120,13 @@ func (s *Snapshot) Index(schema *Schema) *Index {
 
 // Seal freezes the graph's current contents into a Snapshot and converts
 // the graph itself into an overlay over it, so g stays fully readable
-// (and writable) afterwards. The data maps are adopted, not copied; Seal
-// is O(n) only in sorting the ID lists. Sealing an overlay graph whose
-// overlay is empty returns the existing base unchanged; a diverged
-// overlay is materialized first. After Seal the snapshot is immutable —
-// the usual ownership contract (mutate only through the owning store)
-// is what keeps later writers honest.
+// (and writable) afterwards. Seal is O(n): it sorts the ID lists and
+// copies the element pointers and adjacency lists (not the elements)
+// into ID-indexed tables. Sealing an overlay graph whose overlay is empty
+// returns the existing base unchanged; a diverged overlay is
+// materialized first. After Seal the snapshot is immutable — the usual
+// ownership contract (mutate only through the owning store) is what
+// keeps later writers honest.
 func (g *Graph) Seal() *Snapshot {
 	if g.base != nil {
 		if len(g.nodes) == 0 && len(g.rels) == 0 && len(g.out) == 0 && len(g.in) == 0 {
@@ -96,20 +135,34 @@ func (g *Graph) Seal() *Snapshot {
 		*g = *g.Clone()
 	}
 	s := &Snapshot{
-		nodes:   g.nodes,
-		rels:    g.rels,
-		out:     g.out,
-		in:      g.in,
 		nextID:  g.nextID,
 		nodeIDs: sortedKeys(g.nodes),
 		relIDs:  sortedKeys(g.rels),
 	}
-	g.base = s
-	g.nodes = make(map[ID]*Node)
-	g.rels = make(map[ID]*Rel)
-	g.out = make(map[ID][]ID)
-	g.in = make(map[ID][]ID)
+	s.nodeBase, s.nodes = table(s.nodeIDs, g.nodes)
+	s.relBase, s.rels = table(s.relIDs, g.rels)
+	s.out = make([][]ID, len(s.nodes))
+	s.in = make([][]ID, len(s.nodes))
+	for _, id := range s.nodeIDs {
+		s.out[id-s.nodeBase] = g.out[id]
+		s.in[id-s.nodeBase] = g.in[id]
+	}
+	*g = *FromSnapshot(s)
 	return s
+}
+
+// table lays the elements of m out in an ID-indexed slice spanning the
+// ascending ids, returning the first ID and the table.
+func table[E any](ids []ID, m map[ID]*E) (ID, []*E) {
+	if len(ids) == 0 {
+		return 0, nil
+	}
+	base := ids[0]
+	t := make([]*E, ids[len(ids)-1]-base+1)
+	for _, id := range ids {
+		t[id-base] = m[id]
+	}
+	return base, t
 }
 
 // FromSnapshot returns a new overlay graph over the snapshot: an O(1)
@@ -123,8 +176,8 @@ func FromSnapshot(s *Snapshot) *Graph {
 		out:      make(map[ID][]ID),
 		in:       make(map[ID][]ID),
 		nextID:   s.nextID,
-		numNodes: len(s.nodes),
-		numRels:  len(s.rels),
+		numNodes: s.NumNodes(),
+		numRels:  s.NumRels(),
 	}
 }
 
@@ -141,8 +194,8 @@ func (g *Graph) ResetToBase() bool {
 	clear(g.out)
 	clear(g.in)
 	g.nextID = g.base.nextID
-	g.numNodes = len(g.base.nodes)
-	g.numRels = len(g.base.rels)
+	g.numNodes = g.base.NumNodes()
+	g.numRels = g.base.NumRels()
 	g.cow = COWStats{}
 	return true
 }

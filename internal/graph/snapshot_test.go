@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gqs/internal/value"
@@ -218,5 +220,167 @@ func TestCOWStatsCountPromotions(t *testing.T) {
 	}
 	if ov.COW().AdjCopies == 0 {
 		t.Fatal("appending to base adjacency must count an AdjCopy")
+	}
+}
+
+// probeIDs returns IDs around every edge of a sealed snapshot's tables:
+// negatives, each ID up to a little past nextID, and far-out values.
+func probeIDs(s *Snapshot) []ID {
+	ids := []ID{-1, -2, math.MinInt64, math.MaxInt64, 1 << 40}
+	for id := ID(0); id <= s.nextID+2; id++ {
+		ids = append(ids, id)
+	}
+	return ids
+}
+
+// checkSnapshotReads asserts that every accessor of the snapshot and of
+// an overlay graph over it answers any probe ID without panicking, and
+// that an untouched overlay reads exactly the base tables.
+func checkSnapshotReads(t *testing.T, s *Snapshot, g *Graph) {
+	t.Helper()
+	isNode := map[ID]bool{}
+	for _, id := range s.NodeIDs() {
+		isNode[id] = true
+	}
+	isRel := map[ID]bool{}
+	for _, id := range s.RelIDs() {
+		isRel[id] = true
+	}
+	for _, id := range probeIDs(s) {
+		if (s.Node(id) != nil) != isNode[id] || (s.Rel(id) != nil) != isRel[id] {
+			t.Fatalf("id %d: Node=%v Rel=%v, want node=%v rel=%v", id, s.Node(id), s.Rel(id), isNode[id], isRel[id])
+		}
+		if !isNode[id] && (s.Out(id) != nil || s.In(id) != nil) {
+			t.Fatalf("id %d: non-node has adjacency %v / %v", id, s.Out(id), s.In(id))
+		}
+		if g.Node(id) != s.Node(id) || g.Rel(id) != s.Rel(id) {
+			t.Fatalf("id %d: overlay read differs from base", id)
+		}
+		if !slices.Equal(g.Out(id), s.Out(id)) || !slices.Equal(g.In(id), s.In(id)) {
+			t.Fatalf("id %d: overlay adjacency differs from base", id)
+		}
+		if _, ok := g.Lookup(PropertyKey{Element: id, Name: "id"}); ok != isNode[id] {
+			t.Fatalf("id %d: node Lookup ok=%v", id, ok)
+		}
+		if _, ok := g.Lookup(PropertyKey{Element: id, IsRel: true, Name: "id"}); ok && !isRel[id] {
+			t.Fatalf("id %d: rel Lookup found a non-rel", id)
+		}
+	}
+}
+
+// TestSnapshotTableContract pins the bounds contract of the ID-indexed
+// snapshot tables (DESIGN.md §15) on an incrementally built graph,
+// whose node and relationship IDs interleave, and on a bulk graph,
+// whose kinds occupy disjoint dense ranges: every accessor returns nil
+// for -1, past the end of each table and far past it; overlay creations,
+// tombstones and COW copies never reach the snapshot; ResetToBase
+// restores the exact base reads.
+func TestSnapshotTableContract(t *testing.T) {
+	small := New()
+	var nodes []ID
+	for i := 0; i < 6; i++ {
+		nodes = append(nodes, small.NewNode("L0").ID)
+		if i > 0 {
+			if _, err := small.NewRel(nodes[i-1], nodes[i], "T0"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, err := small.NewRel(nodes[2], nodes[2], "T1"); err != nil { // self-loop
+		t.Fatal(err)
+	}
+	bulk, _ := Generate(rand.New(rand.NewSource(3)), GenConfig{Scale: 64})
+
+	for _, tc := range []struct {
+		name string
+		g    *Graph
+	}{{"interleaved", small}, {"bulk", bulk}} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := tc.g
+			s := g.Seal()
+			nIDs, rIDs := s.NodeIDs(), s.RelIDs()
+			// Each table spans exactly its own kind's ID range.
+			if len(s.nodes) != int(nIDs[len(nIDs)-1]-nIDs[0]+1) || s.nodeBase != nIDs[0] {
+				t.Fatalf("node table: base %d len %d for ids %v", s.nodeBase, len(s.nodes), nIDs)
+			}
+			if len(s.rels) != int(rIDs[len(rIDs)-1]-rIDs[0]+1) || s.relBase != rIDs[0] {
+				t.Fatalf("rel table: base %d len %d for ids %v", s.relBase, len(s.rels), rIDs)
+			}
+			if len(s.out) != len(s.nodes) || len(s.in) != len(s.nodes) {
+				t.Fatalf("adjacency tables %d/%d, node table %d", len(s.out), len(s.in), len(s.nodes))
+			}
+			checkSnapshotReads(t, s, g)
+
+			// Overlay creations after Seal: visible through g only.
+			a, b := nIDs[0], nIDs[len(nIDs)-1]
+			baseInB := slices.Clone(s.In(b))
+			fresh := g.NewNode("L9").ID
+			rel, err := g.NewRel(fresh, b, "T0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g.Node(fresh) == nil || s.Node(fresh) != nil || s.Rel(rel.ID) != nil {
+				t.Fatal("overlay creation leaked into, or is missing from, the reads")
+			}
+			if !slices.Equal(g.Out(fresh), []ID{rel.ID}) || s.Out(fresh) != nil {
+				t.Fatalf("Out(fresh) = %v, base %v", g.Out(fresh), s.Out(fresh))
+			}
+			if want := append(slices.Clone(baseInB), rel.ID); !slices.Equal(g.In(b), want) || !slices.Equal(s.In(b), baseInB) {
+				t.Fatalf("In(b) = %v (base %v), want %v over an unchanged base", g.In(b), s.In(b), want)
+			}
+
+			// COW: a mutable copy never touches the snapshot's element.
+			orig := s.Node(a)
+			m := g.MutableNode(a)
+			m.Props["x"] = value.Int(1)
+			m.Labels = append(m.Labels, "Extra")
+			if m == orig || s.Node(a) != orig || orig.HasLabel("Extra") {
+				t.Fatal("MutableNode wrote through to the snapshot")
+			}
+			if _, ok := orig.Props["x"]; ok {
+				t.Fatal("MutableNode property write reached the snapshot")
+			}
+
+			// Tombstones: deleted base elements vanish from g only.
+			r0 := rIDs[0]
+			start := s.Rel(r0).Start
+			g.DeleteRel(r0)
+			if g.Rel(r0) != nil || s.Rel(r0) == nil || slices.Contains(g.Out(start), r0) || !slices.Contains(s.Out(start), r0) {
+				t.Fatal("DeleteRel tombstone wrong")
+			}
+			if err := g.DeleteNode(b, true); err != nil {
+				t.Fatal(err)
+			}
+			if g.Node(b) != nil || g.Out(b) != nil || g.In(b) != nil || s.Node(b) == nil {
+				t.Fatal("DeleteNode tombstone wrong")
+			}
+
+			// No accessor panics on out-of-range IDs with a dirty
+			// overlay either.
+			for _, id := range probeIDs(s) {
+				g.Node(id)
+				g.Rel(id)
+				g.Out(id)
+				g.In(id)
+				if s.Node(id) == nil && g.MutableNode(id) != nil && id != fresh {
+					t.Fatalf("MutableNode(%d) invented a node", id)
+				}
+				if s.Rel(id) == nil && g.MutableRel(id) != nil && id != rel.ID {
+					t.Fatalf("MutableRel(%d) invented a rel", id)
+				}
+			}
+			if err := g.DeleteNode(-1, true); err == nil {
+				t.Fatal("DeleteNode(-1) must fail")
+			}
+			g.DeleteRel(math.MaxInt64)
+
+			if !g.ResetToBase() {
+				t.Fatal("ResetToBase failed")
+			}
+			if g.NumNodes() != s.NumNodes() || g.NumRels() != s.NumRels() {
+				t.Fatalf("counts after reset: %d/%d", g.NumNodes(), g.NumRels())
+			}
+			checkSnapshotReads(t, s, g)
+		})
 	}
 }
