@@ -1,12 +1,19 @@
 GO ?= go
 
-.PHONY: build test vet race bench bench-regress bench-go profile profile-scale verify smoke crashtest plandiff perfbench-build
+.PHONY: build fmt test vet race bench bench-regress bench-go profile profile-scale verify smoke crashtest plandiff perfbench-build
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: fails, listing the files, when gofmt would change any
+# tracked Go file. Listing tracked files keeps build caches such as
+# .bench_build/ out of the check.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -81,11 +88,11 @@ crashtest:
 perfbench-build:
 	cd perfbench && $(GO) build ./... && $(GO) vet ./...
 
-# Tier-1 verification gate (see ROADMAP.md), plus the benchmark module
-# build, the crash-safety differential, the planned-vs-interpreted
+# Tier-1 verification gate (see ROADMAP.md), plus the formatting gate,
+# the benchmark module build, the crash-safety differential, the planned-vs-interpreted
 # differential, and the perf-regression gate over the recorded
 # BENCH_*.json history.
-verify: build vet test race perfbench-build crashtest plandiff bench-regress
+verify: build fmt vet test race perfbench-build crashtest plandiff bench-regress
 
 # Short resilient-campaign smoke under the race detector: live faults,
 # flaky connection, watchdog timeouts — the hardened-runner acceptance.

@@ -69,6 +69,14 @@ func validate(o options) error {
 		return fmt.Errorf("-workers must be >= 1, got %d", o.workers)
 	case o.batch < 0:
 		return fmt.Errorf("-batch must be >= 0 (0 = automatic), got %d", o.batch)
+	case o.maxNodes < 0:
+		return fmt.Errorf("-max-nodes must be >= 0 (0 = default), got %d", o.maxNodes)
+	case o.maxRels < 0:
+		return fmt.Errorf("-max-rels must be >= 0 (0 = default), got %d", o.maxRels)
+	case o.maxSteps < 0:
+		return fmt.Errorf("-max-steps must be >= 0 (0 = default), got %d", o.maxSteps)
+	case o.resultSet < 0:
+		return fmt.Errorf("-max-result-set must be >= 0 (0 = default), got %d", o.resultSet)
 	case o.graphScale < 0:
 		return fmt.Errorf("-graph-scale must be >= 0 (0 = small-graph generator), got %d", o.graphScale)
 	case o.ckEvery < 1:
@@ -94,10 +102,10 @@ func main() {
 		gdbName    = flag.String("gdb", "all", "GDB under test: neo4j, memgraph, kuzu, falkordb, reference, or all")
 		seed       = flag.Int64("seed", 1, "random seed (campaigns are deterministic per seed)")
 		iterations = flag.Int("iterations", 30, "workflow iterations (one generated graph each)")
-		maxNodes   = flag.Int("max-nodes", 13, "maximum nodes per generated graph")
-		maxRels    = flag.Int("max-rels", 60, "maximum relationships per generated graph")
-		maxSteps   = flag.Int("max-steps", 9, "maximum synthesis steps per query")
-		resultSet  = flag.Int("max-result-set", 6, "maximum expected-result-set size")
+		maxNodes   = flag.Int("max-nodes", 13, "maximum nodes per generated graph (0 = default)")
+		maxRels    = flag.Int("max-rels", 60, "maximum relationships per generated graph (0 = default)")
+		maxSteps   = flag.Int("max-steps", 9, "maximum synthesis steps per query (0 = default)")
+		resultSet  = flag.Int("max-result-set", 6, "maximum expected-result-set size (0 = default)")
 		graphScale = flag.Int("graph-scale", 0, "bulk-generate power-law graphs of exactly this many nodes (0 = the paper's small-graph generator); large graphs pair well with low -iterations")
 		verbose    = flag.Bool("v", false, "print every failing query")
 		reportDir  = flag.String("reports", "", "directory to write reproducible bug reports into (one .md per distinct bug)")

@@ -25,6 +25,9 @@ func TestValidateAcceptsBoundaries(t *testing.T) {
 		"every unit":     func(o *options) { o.ckEvery = 1 },
 		"flaky 0":        func(o *options) { o.flaky = 0 },
 		"flaky 1":        func(o *options) { o.flaky = 1 },
+		"default sizes": func(o *options) {
+			o.maxNodes, o.maxRels, o.maxSteps, o.resultSet = 0, 0, 0, 0
+		},
 	} {
 		o := validOptions()
 		mut(&o)
@@ -44,6 +47,10 @@ func TestValidateRejectsBadValues(t *testing.T) {
 		{"-workers", func(o *options) { o.workers = -1 }},
 		{"-batch", func(o *options) { o.batch = -1 }},
 		{"-graph-scale", func(o *options) { o.graphScale = -5 }},
+		{"-max-nodes", func(o *options) { o.maxNodes = -1 }},
+		{"-max-rels", func(o *options) { o.maxRels = -2 }},
+		{"-max-steps", func(o *options) { o.maxSteps = -1 }},
+		{"-max-result-set", func(o *options) { o.resultSet = -3 }},
 		{"-checkpoint-every", func(o *options) { o.ckEvery = 0 }},
 		{"-flaky", func(o *options) { o.flaky = 2 }},
 		{"-flaky", func(o *options) { o.flaky = -0.1 }},

@@ -3,10 +3,11 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"gqs/internal/cypher/ast"
-	"gqs/internal/eval"
 	"gqs/internal/functions"
+	"gqs/internal/graph"
 	"gqs/internal/value"
 )
 
@@ -139,195 +140,154 @@ func genValueExpr(r *rand.Rand, target value.Value, depth int) ast.Expr {
 }
 
 // exprTemplate is one nesting template for Algorithm 2: it wraps an
-// expression of the accepted class into a new expression, reporting the
-// result class.
+// expression of the accepted class into a new expression, and returns
+// with it the round that applies the new node to running values.
 type exprTemplate struct {
 	accepts functions.TypeClass
-	build   func(r *rand.Rand, inner ast.Expr) ast.Expr
+	build   func(r *rand.Rand, inner ast.Expr) (ast.Expr, nestRound)
 }
 
 var nestTemplates = []exprTemplate{
 	// Integer templates.
-	{functions.TInt, func(r *rand.Rand, in ast.Expr) ast.Expr {
-		return ast.Bin(ast.OpAdd, in, ast.Lit(value.Int(int64(r.Intn(999)+1))))
+	{functions.TInt, func(r *rand.Rand, in ast.Expr) (ast.Expr, nestRound) {
+		k := int64(r.Intn(999) + 1)
+		return ast.Bin(ast.OpAdd, in, ast.Lit(value.Int(k))), intRound(value.Add, k, func(i int64) int64 { return i + k })
 	}},
-	{functions.TInt, func(r *rand.Rand, in ast.Expr) ast.Expr {
-		return ast.Bin(ast.OpSub, in, ast.Lit(value.Int(int64(r.Intn(999)+1))))
+	{functions.TInt, func(r *rand.Rand, in ast.Expr) (ast.Expr, nestRound) {
+		k := int64(r.Intn(999) + 1)
+		return ast.Bin(ast.OpSub, in, ast.Lit(value.Int(k))), intRound(value.Sub, k, func(i int64) int64 { return i - k })
 	}},
-	{functions.TInt, func(r *rand.Rand, in ast.Expr) ast.Expr {
-		return ast.Bin(ast.OpMul, in, ast.Lit(value.Int(int64(r.Intn(9)+2))))
+	{functions.TInt, func(r *rand.Rand, in ast.Expr) (ast.Expr, nestRound) {
+		k := int64(r.Intn(9) + 2)
+		return ast.Bin(ast.OpMul, in, ast.Lit(value.Int(k))), intRound(value.Mul, k, func(i int64) int64 { return i * k })
 	}},
-	{functions.TInt, func(_ *rand.Rand, in ast.Expr) ast.Expr {
-		return &ast.FuncCall{Name: "toString", Args: []ast.Expr{in}}
+	{functions.TInt, func(_ *rand.Rand, in ast.Expr) (ast.Expr, nestRound) {
+		return call1("toString", in), toStringRound()
 	}},
-	{functions.TInt, func(_ *rand.Rand, in ast.Expr) ast.Expr {
-		return &ast.FuncCall{Name: "abs", Args: []ast.Expr{in}}
+	{functions.TInt, func(_ *rand.Rand, in ast.Expr) (ast.Expr, nestRound) {
+		return call1("abs", in), absRound()
 	}},
-	{functions.TInt, func(_ *rand.Rand, in ast.Expr) ast.Expr {
-		return &ast.FuncCall{Name: "sign", Args: []ast.Expr{in}}
+	{functions.TInt, func(_ *rand.Rand, in ast.Expr) (ast.Expr, nestRound) {
+		return call1("sign", in), nestRound{apply: callApply("sign")}
 	}},
-	{functions.TInt, func(r *rand.Rand, in ast.Expr) ast.Expr {
-		return &ast.ListLit{Elems: []ast.Expr{in, ast.Lit(value.Int(int64(r.Intn(100))))}}
+	{functions.TInt, func(r *rand.Rand, in ast.Expr) (ast.Expr, nestRound) {
+		k := value.Int(int64(r.Intn(100)))
+		return &ast.ListLit{Elems: []ast.Expr{in, ast.Lit(k)}}, pairRound(k)
 	}},
 	// String templates.
-	{functions.TStr, func(r *rand.Rand, in ast.Expr) ast.Expr {
-		return ast.Bin(ast.OpAdd, in, ast.Lit(value.Str(randString(r, 1+r.Intn(4)))))
+	{functions.TStr, func(r *rand.Rand, in ast.Expr) (ast.Expr, nestRound) {
+		k := randString(r, 1+r.Intn(4))
+		return ast.Bin(ast.OpAdd, in, ast.Lit(value.Str(k))), concatRound("", k)
 	}},
-	{functions.TStr, func(r *rand.Rand, in ast.Expr) ast.Expr {
-		return ast.Bin(ast.OpAdd, ast.Lit(value.Str(randString(r, 1+r.Intn(4)))), in)
+	{functions.TStr, func(r *rand.Rand, in ast.Expr) (ast.Expr, nestRound) {
+		k := randString(r, 1+r.Intn(4))
+		return ast.Bin(ast.OpAdd, ast.Lit(value.Str(k)), in), concatRound(k, "")
 	}},
-	{functions.TStr, func(_ *rand.Rand, in ast.Expr) ast.Expr {
-		return &ast.FuncCall{Name: "reverse", Args: []ast.Expr{in}}
+	{functions.TStr, func(_ *rand.Rand, in ast.Expr) (ast.Expr, nestRound) {
+		return call1("reverse", in), reverseRound()
 	}},
-	{functions.TStr, func(_ *rand.Rand, in ast.Expr) ast.Expr {
-		return &ast.FuncCall{Name: "char_length", Args: []ast.Expr{in}}
+	{functions.TStr, func(_ *rand.Rand, in ast.Expr) (ast.Expr, nestRound) {
+		return call1("char_length", in), nestRound{apply: callApply("char_length")}
 	}},
-	{functions.TStr, func(_ *rand.Rand, in ast.Expr) ast.Expr {
-		return &ast.FuncCall{Name: "toUpper", Args: []ast.Expr{in}}
+	{functions.TStr, func(_ *rand.Rand, in ast.Expr) (ast.Expr, nestRound) {
+		return call1("toUpper", in), toUpperRound()
 	}},
 	// Float templates (exact operations only).
-	{functions.TFloat, func(_ *rand.Rand, in ast.Expr) ast.Expr {
-		return &ast.Unary{Op: ast.OpNeg, X: in}
+	{functions.TFloat, func(_ *rand.Rand, in ast.Expr) (ast.Expr, nestRound) {
+		return &ast.Unary{Op: ast.OpNeg, X: in}, nestRound{apply: value.Neg}
 	}},
-	{functions.TFloat, func(_ *rand.Rand, in ast.Expr) ast.Expr {
-		return &ast.FuncCall{Name: "toString", Args: []ast.Expr{in}}
+	{functions.TFloat, func(_ *rand.Rand, in ast.Expr) (ast.Expr, nestRound) {
+		return call1("toString", in), toStringRound()
 	}},
-	{functions.TFloat, func(r *rand.Rand, in ast.Expr) ast.Expr {
-		return ast.Bin(ast.OpMul, in, ast.Lit(value.Float(float64(r.Intn(3)+2))))
+	{functions.TFloat, func(r *rand.Rand, in ast.Expr) (ast.Expr, nestRound) {
+		k := value.Float(float64(r.Intn(3) + 2))
+		return ast.Bin(ast.OpMul, in, ast.Lit(k)), nestRound{apply: func(x value.Value) (value.Value, error) { return value.Mul(x, k) }}
 	}},
 	// Boolean templates.
-	{functions.TBool, func(_ *rand.Rand, in ast.Expr) ast.Expr {
-		return &ast.Unary{Op: ast.OpNot, X: in}
+	{functions.TBool, func(_ *rand.Rand, in ast.Expr) (ast.Expr, nestRound) {
+		return &ast.Unary{Op: ast.OpNot, X: in}, nestRound{apply: notApply}
 	}},
-	{functions.TBool, func(_ *rand.Rand, in ast.Expr) ast.Expr {
-		return &ast.FuncCall{Name: "toString", Args: []ast.Expr{in}}
+	{functions.TBool, func(_ *rand.Rand, in ast.Expr) (ast.Expr, nestRound) {
+		return call1("toString", in), toStringRound()
 	}},
 	// List templates.
-	{functions.TList, func(_ *rand.Rand, in ast.Expr) ast.Expr {
-		return &ast.FuncCall{Name: "reverse", Args: []ast.Expr{in}}
+	{functions.TList, func(_ *rand.Rand, in ast.Expr) (ast.Expr, nestRound) {
+		return call1("reverse", in), reverseRound()
 	}},
-	{functions.TList, func(r *rand.Rand, in ast.Expr) ast.Expr {
+	{functions.TList, func(r *rand.Rand, in ast.Expr) (ast.Expr, nestRound) {
 		v := fmt.Sprintf("w%d", r.Intn(100))
-		return &ast.ListComprehension{Var: v, List: in, Map: ast.Var(v)}
+		return &ast.ListComprehension{Var: v, List: in, Map: ast.Var(v)}, comprehensionRound()
 	}},
-	{functions.TList, func(_ *rand.Rand, in ast.Expr) ast.Expr {
-		return &ast.FuncCall{Name: "size", Args: []ast.Expr{in}}
+	{functions.TList, func(_ *rand.Rand, in ast.Expr) (ast.Expr, nestRound) {
+		return call1("size", in), nestRound{apply: callApply("size")}
 	}},
-	{functions.TList, func(_ *rand.Rand, in ast.Expr) ast.Expr {
-		return &ast.IndexExpr{Subject: in, Index: ast.Lit(value.Int(0))}
+	{functions.TList, func(_ *rand.Rand, in ast.Expr) (ast.Expr, nestRound) {
+		zero := value.Int(0)
+		return &ast.IndexExpr{Subject: in, Index: ast.Lit(zero)}, nestRound{apply: func(x value.Value) (value.Value, error) { return value.Index(x, zero) }}
 	}},
 }
 
-// holeSlot is the frame slot a nesting round reads its hole from: the
-// value the current expression takes for the element being evaluated.
-// Comprehension binders of the template take the slots after it.
-const holeSlot = 0
-
-// readHole is the compiled form of the hole.
-func readHole(ctx *eval.Ctx) (value.Value, error) { return ctx.Frame[holeSlot], nil }
+// call1 builds the one-argument call name(arg).
+func call1(name string, arg ast.Expr) ast.Expr {
+	return &ast.FuncCall{Name: name, Args: []ast.Expr{arg}}
+}
 
 // complexifyAccess implements Algorithm 2: starting from the property
 // access varName.prop, it nests expression templates for depth rounds,
 // keeping a nesting only when the intended element's value remains
-// distinguishable from every competitor's. It returns the final
-// expression and its value for the intended element.
+// distinguishable from every competitor's. cur holds the competitors'
+// values of the property; it becomes one of the synthesizer's round
+// buffers, so the caller must not use it afterwards. complexifyAccess
+// returns the final expression and its value for the intended element.
 //
 // Every template is strict and pure in the expression it wraps: it
 // evaluates that expression exactly once and depends only on its value,
 // so eval(t(e), c) == t(eval(e, c)), error or not. A round therefore
-// evaluates only the new template node, with the current expression as a
-// hole bound to each element's running value, instead of re-evaluating
-// the whole nest from the original property values. Accepted rounds
-// leave every running value error-free (a competitor that errors rejects
-// the round), and rejected rounds change no state, so the accept/reject
-// decisions, the RNG draws and the returned expression are exactly those
-// of the full re-evaluation (DESIGN.md §14).
-func (s *Synthesizer) complexifyAccess(varName, prop string, intended value.Value, competitors []value.Value, depth int) (ast.Expr, value.Value) {
+// applies only the new template node, through its round function, to
+// each element's running value, instead of re-evaluating the whole nest
+// from the original property values. Accepted rounds leave every running
+// value error-free (a competitor that errors rejects the round), and
+// rejected rounds change no state, so the accept/reject decisions, the
+// RNG draws and the returned expression are exactly those of the full
+// re-evaluation (DESIGN.md §14, §16).
+func (s *Synthesizer) complexifyAccess(varName, prop string, intended value.Value, cur []value.Value, depth int) (ast.Expr, value.Value) {
 	var exp ast.Expr = ast.Prop(varName, prop)
 	v1 := intended
-	// cur holds each competitor's running value; next receives a round's
-	// candidate values and becomes cur only if the round is accepted.
-	cur := append(s.compCur[:0], competitors...)
-	next := s.compNext[:0]
+	rs := s.rounds
+	// next receives a round's candidate values and becomes cur only if
+	// the round is accepted.
+	next := rs.next[:0]
 	if cap(next) < len(cur) {
 		next = make([]value.Value, len(cur))
 	}
 	next = next[:len(cur)]
-	s.constCtx.Graph = s.g
+	// No running value of an earlier run is live any more.
+	rs.cells.reset()
 	for d := 0; d < depth; d++ {
 		cls := functions.ClassOf(v1)
-		if s.tmplScratch == nil {
-			s.tmplScratch = make([]exprTemplate, 0, len(nestTemplates))
-		}
-		candidates := s.tmplScratch[:0]
+		candidates := rs.tmpl[:0]
 		for _, t := range nestTemplates {
 			if t.accepts.Accepts(cls) {
 				candidates = append(candidates, t)
 			}
 		}
-		s.tmplScratch = candidates
+		rs.tmpl = candidates
 		if len(candidates) == 0 {
 			break
 		}
 		t := candidates[s.r.Intn(len(candidates))]
-		newExp := t.build(s.r, exp)
-		round, ok := s.compileRound(newExp, exp)
-		if !ok {
-			continue
-		}
-		nv1, err := s.evalRound(round, v1)
-		if err != nil {
-			continue
-		}
-		distinct := true
-		for i, c := range cur {
-			nc, err := s.evalRound(round, c)
-			if err != nil || value.Equivalent(nc, nv1) {
-				distinct = false
-				break
-			}
-			next[i] = nc
-		}
-		if !distinct {
+		newExp, round := t.build(s.r, exp)
+		// The intended element's value goes through apply, so it owns its
+		// memory and the query literals built from it alias no scratch.
+		nv1, err := round.apply(v1)
+		if err != nil || !round.run(rs, nv1, cur, next) {
 			continue // try another template next round (line 8 of Alg. 2)
 		}
 		exp, v1 = newExp, nv1
 		cur, next = next, cur
 	}
-	s.compCur, s.compNext = cur, next
+	rs.cur, rs.next = cur, next
 	return exp, v1
-}
-
-// compileRound compiles one nesting round: the template node newExp with
-// its inner expression hole read from holeSlot. It reports false if the
-// node does not compile, which the interpreter would equally have failed
-// to evaluate.
-func (s *Synthesizer) compileRound(newExp, hole ast.Expr) (eval.Compiled, bool) {
-	temps := holeSlot
-	c := eval.Compiler{
-		Special: func(e ast.Expr) (eval.Compiled, bool) {
-			if e == hole {
-				return readHole, true
-			}
-			return nil, false
-		},
-		Temp: func() int { temps++; return temps },
-	}
-	fn, err := c.Compile(newExp)
-	if err != nil {
-		return nil, false
-	}
-	if len(s.constFrame) <= temps {
-		s.constFrame = make([]value.Value, temps+1)
-	}
-	return fn, true
-}
-
-// evalRound evaluates a compiled round with the hole bound to v.
-func (s *Synthesizer) evalRound(round eval.Compiled, v value.Value) (value.Value, error) {
-	s.constFrame[holeSlot] = v
-	s.constCtx.Frame = s.constFrame
-	return round(&s.constCtx)
 }
 
 // pinPredicate renders a pin as a WHERE conjunct: Algorithm 2 nests the
@@ -335,20 +295,31 @@ func (s *Synthesizer) evalRound(round eval.Compiled, v value.Value) (value.Value
 // result still matches only the pinned element.
 func (s *Synthesizer) pinPredicate(p pin, depth int) ast.Expr {
 	intended, _ := s.lookupProp(p.elem, "id")
-	ids, hasID := s.nodeIDColumn()
-	compVals := s.pinVals[:0]
-	for _, c := range p.competitors {
-		if !c.isRel {
-			if hasID[c.id] {
-				compVals = append(compVals, ids[c.id])
+	nested, v1 := s.complexifyAccess(p.varName, "id", intended, s.competitorValues(p), s.r.Intn(depth+1))
+	return ast.Bin(ast.OpEq, nested, genValueExpr(s.r, v1, s.r.Intn(depth+1)))
+}
+
+// competitorValues gathers the `id` values of p's competitors that have
+// one into the round buffer. A node pin's competitors are every other
+// node of its label class, read from the id column in NodeIDs order in
+// one pass; a relationship pin's are its explicit list.
+func (s *Synthesizer) competitorValues(p pin) []value.Value {
+	out := s.rounds.cur[:0]
+	if p.elem.isRel {
+		for _, c := range p.competitors {
+			if v, ok := s.lookupProp(c, "id"); ok {
+				out = append(out, v)
 			}
-		} else if v, ok := s.lookupProp(c, "id"); ok {
-			compVals = append(compVals, v)
+		}
+		return out
+	}
+	ids, hasID := s.nodeIDColumn()
+	for _, id := range s.labelClass(p.labels) {
+		if id != p.elem.id && hasID[id] {
+			out = append(out, ids[id])
 		}
 	}
-	s.pinVals = compVals
-	nested, v1 := s.complexifyAccess(p.varName, "id", intended, compVals, s.r.Intn(depth+1))
-	return ast.Bin(ast.OpEq, nested, genValueExpr(s.r, v1, s.r.Intn(depth+1)))
+	return out
 }
 
 // nodeIDColumn returns the `id` property column over node IDs, building
@@ -364,6 +335,28 @@ func (s *Synthesizer) nodeIDColumn() ([]value.Value, []bool) {
 		}
 	}
 	return sc.ids, sc.hasID
+}
+
+// labelClass returns the nodes carrying all of labels, in ascending
+// order; a labeled class is listed on first use.
+func (s *Synthesizer) labelClass(labels []string) []graph.ID {
+	if len(labels) == 0 {
+		return s.g.NodeIDs()
+	}
+	key := strings.Join(labels, "\x00")
+	class, ok := s.nodes.classes[key]
+	if !ok {
+		for _, id := range s.g.NodeIDs() {
+			if hasLabels(s.g.Node(id), labels) {
+				class = append(class, id)
+			}
+		}
+		if s.nodes.classes == nil {
+			s.nodes.classes = map[string][]graph.ID{}
+		}
+		s.nodes.classes[key] = class
+	}
+	return class
 }
 
 func (s *Synthesizer) lookupProp(e elemRef, name string) (value.Value, bool) {

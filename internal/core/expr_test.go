@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gqs/internal/cypher/ast"
@@ -40,7 +41,7 @@ func TestComplexifyAccessInvariant(t *testing.T) {
 				comps = append(comps, c)
 			}
 		}
-		nested, v1 := syn.complexifyAccess("x", "id", intended, comps, 1+r.Intn(6))
+		nested, v1 := syn.complexifyAccess("x", "id", intended, slices.Clone(comps), 1+r.Intn(6))
 		got, err := eval.Eval(&eval.Ctx{Graph: syn.g, Env: map[string]value.Value{"x": mapFor(intended)}}, nested)
 		if err != nil {
 			t.Fatalf("trial %d: eval error %v on %s", trial, err, ast.ExprString(nested))
@@ -68,7 +69,7 @@ func TestComplexifyStringProperty(t *testing.T) {
 		if value.Equivalent(comps[0], intended) {
 			continue
 		}
-		nested, v1 := syn.complexifyAccess("x", "id", intended, comps, 4)
+		nested, v1 := syn.complexifyAccess("x", "id", intended, slices.Clone(comps), 4)
 		got, err := syn.evalConst(nested, "x", wrapAccessValue("id", intended))
 		if err != nil || !value.Equivalent(got, v1) {
 			t.Fatalf("trial %d: %v / %v vs %v (%s)", trial, err, got, v1, ast.ExprString(nested))
@@ -180,7 +181,7 @@ func (s *Synthesizer) referenceComplexifyAccess(varName, prop string, intended v
 			break
 		}
 		t := candidates[s.r.Intn(len(candidates))]
-		newExp := t.build(s.r, exp)
+		newExp, _ := t.build(s.r, exp)
 		nv1, err := s.evalConst(newExp, varName, wrapAccessValue(prop, intended))
 		if err != nil {
 			continue
@@ -208,6 +209,9 @@ func (s *Synthesizer) referenceComplexifyAccess(varName, prop string, intended v
 func randAlg2Value(r *rand.Rand, kind int) value.Value {
 	switch kind {
 	case 0:
+		if r.Intn(4) == 0 {
+			return value.Int(int64Edge(r))
+		}
 		return value.Int(int64(r.Intn(41) - 20))
 	case 1:
 		switch r.Intn(8) {
@@ -218,6 +222,9 @@ func randAlg2Value(r *rand.Rand, kind int) value.Value {
 		}
 		return value.Float(float64(r.Intn(41)-20) / 2)
 	case 2:
+		if r.Intn(3) == 0 {
+			return value.Str(runeStrings[r.Intn(len(runeStrings))])
+		}
 		return value.Str(randString(rand.New(rand.NewSource(int64(r.Intn(6)))), r.Intn(4)))
 	case 3:
 		return value.Bool(r.Intn(2) == 0)
@@ -231,6 +238,37 @@ func randAlg2Value(r *rand.Rand, kind int) value.Value {
 	default:
 		return value.Null
 	}
+}
+
+// int64Edge draws an integer at or next to the ends of the int64 range:
+// the extremes, values within one +k or -k step (k ≤ 999) of wrapping,
+// values just below or above where multiplying by a factor k ≤ 10
+// wraps, and values a little above MinInt64, whose products with an
+// even k wrap onto small integers.
+func int64Edge(r *rand.Rand) int64 {
+	switch r.Intn(5) {
+	case 0:
+		return []int64{math.MaxInt64, math.MinInt64, math.MaxInt64 - 1, math.MinInt64 + 1}[r.Intn(4)]
+	case 1:
+		return math.MaxInt64 - int64(r.Intn(1000))
+	case 2:
+		return math.MinInt64 + int64(r.Intn(1000))
+	case 3:
+		k := int64(2 + r.Intn(9))
+		return math.MaxInt64/k + int64(r.Intn(3)) - 1
+	default:
+		return math.MinInt64 + int64(r.Intn(21))
+	}
+}
+
+// runeStrings are strings whose rune structure matters to the string
+// templates: multi-byte runes, mixed case (aB and Ab share toUpper),
+// pairs that are each other's rune reversal (日本, 本日), an invalid byte
+// (reverse and char_length read it as U+FFFD, so reverse maps \xffz and
+// \uFFFDz to the same string), and a combining accent.
+var runeStrings = []string{
+	"é", "É", "straße", "aB", "Ab", "AB", "ab", "日本", "本日", "Σσς",
+	"\xffz", "\uFFFDz", "z\xff", "a\u0301",
 }
 
 // alg2Competitors draws n competitors for intended: mostly of its kind,
@@ -248,7 +286,11 @@ func alg2Competitors(r *rand.Rand, kind int, intended value.Value, n int) []valu
 		default:
 			switch intended.Kind() {
 			case value.KindInt:
-				comps = append(comps, value.Float(float64(intended.AsInt())))
+				// The same number as a float, its negation (abs maps both
+				// to one value), and its offset by MinInt64 (an even
+				// factor wraps both to one product).
+				i := intended.AsInt()
+				comps = append(comps, []value.Value{value.Float(float64(i)), value.Int(-i), value.Int(i + math.MinInt64)}[r.Intn(3)])
 			case value.KindFloat:
 				if f := intended.AsFloat(); f == math.Trunc(f) && !math.IsInf(f, 0) {
 					comps = append(comps, value.Int(int64(f)))
@@ -290,7 +332,7 @@ func TestComplexifyIncrementalMatchesReference(t *testing.T) {
 		desc := fmt.Sprintf("trial %d: intended=%v, %d competitors, depth %d", trial, intended, len(comps), depth)
 
 		wantExp, wantV := ref.referenceComplexifyAccess("x", "id", intended, comps, depth)
-		gotExp, gotV := inc.complexifyAccess("x", "id", intended, comps, depth)
+		gotExp, gotV := inc.complexifyAccess("x", "id", intended, slices.Clone(comps), depth)
 		if got, want := ast.ExprString(gotExp), ast.ExprString(wantExp); got != want {
 			t.Fatalf("%s: expression %s, reference %s", desc, got, want)
 		}

@@ -9,23 +9,29 @@ import (
 )
 
 // BenchmarkPinPredicateScale measures one uniquifying pin on a 10k-node
-// bulk graph: an unlabeled node variable, so every other node competes,
-// rendered at the default expression depth. Its cost per operation is
-// Algorithm 2's per-competitor cost times the graph size.
+// bulk graph, rendered at the default expression depth: an unlabeled
+// node variable, so every other node competes, and a variable with the
+// intended node's label, so its label class does. Its cost per operation
+// is Algorithm 2's per-competitor cost times the competitor count.
 func BenchmarkPinPredicateScale(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	g, schema := graph.Generate(r, graph.GenConfig{Scale: 10000})
 	syn := NewSynthesizer(r, g, schema, DefaultConfig())
 	intended := g.NodeIDs()[0]
-	p := pin{
-		varName:     "n0",
-		elem:        elemRef{id: intended},
-		competitors: syn.nodeCompetitors(&ast.NodePattern{Variable: "n0"}, intended),
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchPinSink = syn.pinPredicate(p, syn.cfg.ExprDepth)
+	for _, bc := range []struct {
+		name   string
+		labels []string
+	}{
+		{"unlabeled", nil},
+		{"labeled", g.Node(intended).Labels},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			p := pin{varName: "n0", elem: elemRef{id: intended}, labels: bc.labels}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchPinSink = syn.pinPredicate(p, syn.cfg.ExprDepth)
+			}
+		})
 	}
 }
 

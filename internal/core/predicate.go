@@ -12,9 +12,16 @@ import (
 // graph elements that would otherwise also match at the decision point.
 // Pins are rendered as WHERE predicates — initially `var.id = <id>`, then
 // complexified by Algorithm 2 while preserving distinguishability.
+//
+// A node pin's competitors are implicit: every other node carrying all of
+// labels, the pattern node's label class (every node when it has none).
+// They are read from the synthesizer's id column when the pin is
+// rendered, so a pin costs no O(graph) list. A relationship pin lists its
+// competitors explicitly.
 type pin struct {
 	varName     string
 	elem        elemRef
+	labels      []string
 	competitors []elemRef
 }
 
@@ -30,12 +37,12 @@ func (s *Synthesizer) uniquify(chains []*encChain, inScope map[string]graph.ID, 
 	for v, id := range inScope {
 		fixed[v] = id
 	}
-	pinVar := func(v string, ref elemRef, comps []elemRef) {
-		if _, done := fixed[v]; done {
+	addPin := func(p pin) {
+		if _, done := fixed[p.varName]; done {
 			return
 		}
-		pins = append(pins, pin{varName: v, elem: ref, competitors: comps})
-		fixed[v] = ref.id
+		pins = append(pins, p)
+		fixed[p.varName] = p.elem.id
 	}
 
 	for _, ec := range chains {
@@ -54,16 +61,15 @@ func (s *Synthesizer) uniquify(chains []*encChain, inScope map[string]graph.ID, 
 			// graph element").
 			anchor = 0
 			np := ec.part.Nodes[0]
-			ref := elemRef{id: ec.nodeIDs[0]}
-			pinVar(np.Variable, ref, s.nodeCompetitors(np, ec.nodeIDs[0]))
+			addPin(pin{varName: np.Variable, elem: elemRef{id: ec.nodeIDs[0]}, labels: np.Labels})
 		}
 		fixed[ec.part.Nodes[anchor].Variable] = ec.nodeIDs[anchor]
 		// March right, then left.
 		for i := anchor; i < len(ec.relIDs); i++ {
-			s.uniquifySegment(ec, i, true, fixed, pinVar)
+			s.uniquifySegment(ec, i, true, fixed, addPin)
 		}
 		for i := anchor - 1; i >= 0; i-- {
-			s.uniquifySegment(ec, i, false, fixed, pinVar)
+			s.uniquifySegment(ec, i, false, fixed, addPin)
 		}
 	}
 
@@ -75,17 +81,16 @@ func (s *Synthesizer) uniquify(chains []*encChain, inScope map[string]graph.ID, 
 		for v, id := range inScope {
 			fixed[v] = id
 		}
-		// Competitor sets cost a scan of the whole graph, so they are
-		// computed only for variables that are not yet fixed.
+		// A relationship's competitor list costs a scan of all
+		// relationships, so it is computed only for variables that are
+		// not yet fixed.
 		for _, ec := range chains {
 			for i, np := range ec.part.Nodes {
-				if _, done := fixed[np.Variable]; !done {
-					pinVar(np.Variable, elemRef{id: ec.nodeIDs[i]}, s.nodeCompetitors(np, ec.nodeIDs[i]))
-				}
+				addPin(pin{varName: np.Variable, elem: elemRef{id: ec.nodeIDs[i]}, labels: np.Labels})
 			}
 			for i, rp := range ec.part.Rels {
 				if _, done := fixed[rp.Variable]; !done {
-					pinVar(rp.Variable, elemRef{id: ec.relIDs[i], isRel: true}, s.relCompetitors(rp, ec.relIDs[i]))
+					addPin(pin{varName: rp.Variable, elem: elemRef{id: ec.relIDs[i], isRel: true}, competitors: s.relCompetitors(rp, ec.relIDs[i])})
 				}
 			}
 		}
@@ -95,7 +100,7 @@ func (s *Synthesizer) uniquify(chains []*encChain, inScope map[string]graph.ID, 
 
 // uniquifySegment handles one pattern segment: expanding from the bound
 // node at position i (forward) or i+1 (backward) across relationship i.
-func (s *Synthesizer) uniquifySegment(ec *encChain, i int, forward bool, fixed map[string]graph.ID, pinVar func(string, elemRef, []elemRef)) {
+func (s *Synthesizer) uniquifySegment(ec *encChain, i int, forward bool, fixed map[string]graph.ID, addPin func(pin)) {
 	rp := ec.part.Rels[i]
 	var fromPos, toPos int
 	if forward {
@@ -113,7 +118,7 @@ func (s *Synthesizer) uniquifySegment(ec *encChain, i int, forward bool, fixed m
 				comps = append(comps, elemRef{id: c, isRel: true})
 			}
 		}
-		pinVar(rp.Variable, elemRef{id: ec.relIDs[i], isRel: true}, comps)
+		addPin(pin{varName: rp.Variable, elem: elemRef{id: ec.relIDs[i], isRel: true}, competitors: comps})
 	}
 	fixed[rp.Variable] = ec.relIDs[i]
 	fixed[toPattern.Variable] = ec.nodeIDs[toPos]
@@ -172,26 +177,6 @@ func (s *Synthesizer) segmentCandidates(from graph.ID, rp *ast.RelPattern, toPat
 		}
 	}
 	return cands
-}
-
-// nodeCompetitors returns the other nodes satisfying the encoded label
-// constraints of the pattern node.
-func (s *Synthesizer) nodeCompetitors(np *ast.NodePattern, intended graph.ID) []elemRef {
-	ids := s.g.NodeIDs()
-	var out []elemRef
-	if len(np.Labels) == 0 {
-		out = make([]elemRef, 0, len(ids))
-	}
-	for _, id := range ids {
-		if id == intended {
-			continue
-		}
-		if len(np.Labels) > 0 && !hasLabels(s.g.Node(id), np.Labels) {
-			continue
-		}
-		out = append(out, elemRef{id: id})
-	}
-	return out
 }
 
 func hasLabels(n *graph.Node, labels []string) bool {

@@ -30,14 +30,17 @@ type Target interface {
 
 // PreparedTarget is the optional prepared-execution extension of Target
 // (the gdb connectors implement it). When a target supports it, the
-// runner parses and analyzes each synthesized query exactly once and
-// hands every execution — including transient-error retries — the same
-// immutable PreparedQuery, instead of paying a parse per call. Since the
-// plan compiler landed, Prepare also lowers the query to a physical plan
-// (engine/plan.go) shared the same way: one compile serves all five
-// oracle targets and every shard, and each ExecutePrepared runs the plan
-// on slot frames instead of interpreting the AST. Targets without the
-// interface (e.g. the differential baselines) keep the text path.
+// runner analyzes each synthesized query exactly once and hands every
+// execution — including transient-error retries — the same immutable
+// PreparedQuery, instead of paying a parse per call. Since the plan
+// compiler landed, Prepare also lowers the query to a physical plan
+// (engine/plan.go) shared the same way: one compile serves every
+// attempt of the case on its one target, and each ExecutePrepared runs
+// the plan on slot frames instead of interpreting the AST. Queries are
+// not shared between targets or shards: each target leg synthesizes its
+// own, since the synthesis config depends on the target's
+// RelUniqueness and ProvidesDBLabels. Targets without the interface
+// (e.g. the differential baselines) keep the text path.
 type PreparedTarget interface {
 	Target
 	ExecutePrepared(ctx context.Context, pq *engine.PreparedQuery) (*engine.Result, error)

@@ -7,7 +7,6 @@ import (
 
 	"gqs/internal/cypher/ast"
 	"gqs/internal/engine"
-	"gqs/internal/eval"
 	"gqs/internal/graph"
 	"gqs/internal/value"
 )
@@ -74,34 +73,27 @@ type Synthesizer struct {
 	history   []*Path
 	elemScope map[string]graph.ID
 
-	// constCtx and constFrame are the reusable evaluation state of
-	// Algorithm 2's rounds (complexifyAccess): synthesis is
-	// single-threaded, and evaluation retains neither in its result.
-	constCtx   eval.Ctx
-	constFrame []value.Value
-	// pinVals, compCur and compNext are per-pin competitor scratch: the
-	// competitors' property values, and their running values under the
-	// accepted nest and under the round being tried.
-	pinVals, compCur, compNext []value.Value
-	// tmplScratch is the reusable candidate buffer of complexifyAccess's
-	// template filter; the selection only reads the current round's
-	// contents, so the backing array carries over between rounds.
-	tmplScratch []exprTemplate
+	// rounds is Algorithm 2's working memory; a UNION sub-synthesizer
+	// shares its parent's.
+	rounds *roundScratch
 	// nodes is the per-graph scratch indexed by node ID; a UNION
 	// sub-synthesizer shares its parent's.
 	nodes *nodeScratch
 }
 
-// nodeScratch is a synthesizer's working memory indexed by node ID
-// (DESIGN.md §15): arrays built on first use that replace per-call maps
-// and per-element property lookups. Synthesis never writes its graph,
-// so they stay valid for the synthesizer's lifetime.
+// nodeScratch is a synthesizer's working memory over its graph's nodes
+// (DESIGN.md §15, §16): structures built on first use that replace
+// per-call maps and per-element property lookups. Synthesis never writes
+// its graph, so they stay valid for the synthesizer's lifetime.
 type nodeScratch struct {
 	bfs bfsScratch
 	// ids[n] is node n's `id` property and hasID[n] whether it has one:
-	// the column pinPredicate reads competitor values from.
+	// the column node pins read competitor values from.
 	ids   []value.Value
 	hasID []bool
+	// classes lists, per label class, the nodes carrying all of its
+	// labels in ascending order, keyed by the labels joined with NUL.
+	classes map[string][]graph.ID
 }
 
 // NewSynthesizer creates a synthesizer over the generated graph.
@@ -109,7 +101,7 @@ func NewSynthesizer(r *rand.Rand, g *graph.Graph, schema *graph.Schema, cfg Conf
 	if cfg.MaxSteps == 0 {
 		cfg = DefaultConfig()
 	}
-	return &Synthesizer{r: r, g: g, schema: schema, cfg: cfg, nodes: &nodeScratch{}}
+	return &Synthesizer{r: r, g: g, schema: schema, cfg: cfg, nodes: &nodeScratch{}, rounds: &roundScratch{}}
 }
 
 func (s *Synthesizer) pct(p int) bool { return s.r.Intn(100) < p }
@@ -165,7 +157,7 @@ func (s *Synthesizer) synthesize(gt *GroundTruth, allowUnion bool) (*Synthesized
 
 	if allowUnion && s.pct(s.cfg.UnionPct) {
 		second := NewSynthesizer(s.r, s.g, s.schema, s.cfg)
-		second.nodes = s.nodes
+		second.nodes, second.rounds = s.nodes, s.rounds
 		s2, err := second.synthesize(gt, false)
 		if err == nil {
 			all := s.r.Intn(2) == 0
