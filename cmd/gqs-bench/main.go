@@ -6,33 +6,52 @@
 //	gqs-bench -exp all
 //	gqs-bench -exp table5 -n 10000
 //	gqs-bench -exp table6 -rounds 500
+//
+// Throughput is measured by the perfbench module, not here.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
 	"gqs/internal/experiments"
 )
 
+// experimentNames lists every -exp value; "all" runs each experiment.
+var experimentNames = []string{
+	"table2", "table3", "table4", "table5", "table6",
+	"fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig18",
+	"replay", "falsealarms", "ablation", "all",
+}
+
+// validateExp rejects an -exp value that names no experiment.
+func validateExp(exp string) error {
+	if slices.Contains(experimentNames, exp) {
+		return nil
+	}
+	return fmt.Errorf("-exp %q: unknown experiment (want one of %s)", exp, strings.Join(experimentNames, ", "))
+}
+
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "experiment: table2, table3, table4, table5, table6, fig10..fig15, fig18, replay, falsealarms, ablation, bench, bench-regress, or all")
+		exp        = flag.String("exp", "all", "experiment: "+strings.Join(experimentNames, ", "))
 		seed       = flag.Int64("seed", 1, "random seed")
-		iterations = flag.Int("iterations", 60, "GQS campaign iterations per GDB (table3/fig10-15, bench)")
+		iterations = flag.Int("iterations", 60, "GQS campaign iterations per GDB (table3/table4/replay/fig10-15)")
 		n          = flag.Int("n", 2000, "queries per tester for table5 (paper: 10000)")
 		rounds     = flag.Int("rounds", 400, "oracle rounds per tester per GDB for table6/fig18")
-		workers    = flag.Int("workers", 0, "worker-pool size for -exp bench (0 = GOMAXPROCS)")
-		benchOut   = flag.String("bench-out", "", "write the -exp bench result to this JSON file; for -exp bench-regress, the current result to gate (default BENCH_pr10.json)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile (after the selected experiments) to this file")
 	)
 	flag.Parse()
+	if err := validateExp(*exp); err != nil {
+		fmt.Fprintf(os.Stderr, "gqs-bench: %v\n", err)
+		os.Exit(2)
+	}
 	w := os.Stdout
 
 	if *cpuProfile != "" {
@@ -64,12 +83,10 @@ func main() {
 	}
 
 	want := func(name string) bool { return *exp == "all" || *exp == name }
-	ran := false
 
 	if want("table2") {
 		experiments.Table2(w)
 		fmt.Fprintln(w)
-		ran = true
 	}
 
 	var campaign *experiments.Campaign
@@ -86,28 +103,23 @@ func main() {
 		} else {
 			campaign = experiments.RunGQSCampaign(cfg)
 		}
-		ran = true
 	}
 	if want("table4") {
 		experiments.Table4(w, campaign)
 		fmt.Fprintln(w)
-		ran = true
 	}
 	if want("replay") || want("table4") {
 		experiments.OracleReplay(w, campaign)
 		fmt.Fprintln(w)
-		ran = true
 	}
 	if want("table5") {
 		experiments.Table5(w, *n, *seed)
 		fmt.Fprintln(w)
-		ran = true
 	}
 	var t6 map[string]map[string]*experiments.TesterCampaign
 	if want("table6") || want("fig18") {
 		t6 = experiments.Table6(w, *rounds, *seed)
 		fmt.Fprintln(w)
-		ran = true
 	}
 	if want("fig10") {
 		experiments.Fig10(w, campaign)
@@ -140,57 +152,9 @@ func main() {
 	if want("ablation") {
 		experiments.Ablation(w, 10, *seed)
 		fmt.Fprintln(w)
-		ran = true
-	}
-	// bench runs only when asked by name: it repeats the whole campaign
-	// twice, which would double the runtime of -exp all for no table.
-	if *exp == "bench" {
-		res := experiments.RunThroughputBench(w, *seed, *iterations, *workers)
-		fmt.Fprintln(w)
-		if *benchOut != "" {
-			if err := res.WriteJSON(*benchOut); err != nil {
-				fmt.Fprintf(os.Stderr, "gqs-bench: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if !res.IdenticalBugSets {
-			fmt.Fprintln(os.Stderr, "gqs-bench: bug sets differ across worker counts — determinism contract broken")
-			os.Exit(1)
-		}
-		ran = true
-	}
-	// bench-regress gates the recorded result against every other
-	// BENCH_*.json in the working directory (>10% parallel-throughput
-	// regression or a like-for-like bug-set mismatch fails the build).
-	if *exp == "bench-regress" {
-		cur := *benchOut
-		if cur == "" {
-			cur = "BENCH_pr10.json"
-		}
-		all, err := filepath.Glob("BENCH_*.json")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gqs-bench: %v\n", err)
-			os.Exit(1)
-		}
-		var prev []string
-		for _, p := range all {
-			if p != cur {
-				prev = append(prev, p)
-			}
-		}
-		if err := experiments.BenchRegress(w, cur, prev); err != nil {
-			fmt.Fprintf(os.Stderr, "gqs-bench: %v\n", err)
-			os.Exit(1)
-		}
-		ran = true
 	}
 	if want("falsealarms") {
 		experiments.FalseAlarms(w, *rounds, *seed)
 		fmt.Fprintln(w)
-		ran = true
-	}
-	if !ran && !strings.HasPrefix(*exp, "fig") {
-		fmt.Fprintf(os.Stderr, "gqs-bench: unknown experiment %q\n", *exp)
-		os.Exit(2)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"regexp"
 	"testing"
 
 	"gqs/internal/cypher/ast"
@@ -173,31 +174,47 @@ func TestSynthesizeSoundness(t *testing.T) {
 	}
 }
 
+// pairwiseNeq matches the §4 workaround predicate between two
+// relationship variables, e.g. `(r0 <> r2)`.
+var pairwiseNeq = regexp.MustCompile(`\(r\d+ <> r\d+\)`)
+
 // TestSynthesizeAcrossDialects checks soundness against the
-// homomorphism-dialect engine with the §4 workaround applied.
+// homomorphism-dialect engine with the §4 workaround applied, at an
+// explicit step bound and at MaxSteps 0 (the default bound, which must
+// keep the dialect fields and so still emit the workaround).
 func TestSynthesizeAcrossDialects(t *testing.T) {
-	r := rand.New(rand.NewSource(42))
-	g, schema := graph.Generate(r, graph.GenConfig{MaxNodes: 8, MaxRels: 25})
-	eng := engine.New(engine.Options{
-		Dialect: engine.Dialect{Name: "falkordb-like", RelUniqueness: false, ProvidesDBLabels: true},
-	})
-	eng.LoadGraph(g, schema)
-	cfg := DefaultConfig()
-	cfg.RelUniqueness = false // target deviates; GQS adds <> predicates
-	syn := NewSynthesizer(r, g, schema, cfg)
-	for i := 0; i < 30; i++ {
-		gt := SelectGroundTruth(r, g, 3)
-		sq, err := syn.Synthesize(gt)
-		if err != nil {
-			t.Fatalf("iter %d: %v", i, err)
+	for _, maxSteps := range []int{DefaultConfig().MaxSteps, 0} {
+		workarounds := 0
+		r := rand.New(rand.NewSource(42))
+		g, schema := graph.Generate(r, graph.GenConfig{MaxNodes: 8, MaxRels: 25})
+		eng := engine.New(engine.Options{
+			Dialect: engine.Dialect{Name: "falkordb-like", RelUniqueness: false, ProvidesDBLabels: true},
+		})
+		eng.LoadGraph(g, schema)
+		cfg := DefaultConfig()
+		cfg.MaxSteps = maxSteps
+		cfg.RelUniqueness = false // target deviates; GQS adds <> predicates
+		syn := NewSynthesizer(r, g, schema, cfg)
+		for i := 0; i < 30; i++ {
+			gt := SelectGroundTruth(r, g, 3)
+			sq, err := syn.Synthesize(gt)
+			if err != nil {
+				t.Fatalf("MaxSteps %d, iter %d: %v", maxSteps, i, err)
+			}
+			actual, err := eng.Execute(sq.Text)
+			if err != nil {
+				t.Fatalf("MaxSteps %d, iter %d: execute: %v\n%s", maxSteps, i, err, sq.Text)
+			}
+			if !sq.Expected.Equal(actual) {
+				t.Fatalf("MaxSteps %d, iter %d: oracle mismatch\nquery: %s\nexpected:\n%s\nactual:\n%s",
+					maxSteps, i, sq.Text, sq.Expected, actual)
+			}
+			if pairwiseNeq.MatchString(sq.Text) {
+				workarounds++
+			}
 		}
-		actual, err := eng.Execute(sq.Text)
-		if err != nil {
-			t.Fatalf("iter %d: execute: %v\n%s", i, err, sq.Text)
-		}
-		if !sq.Expected.Equal(actual) {
-			t.Fatalf("iter %d: oracle mismatch\nquery: %s\nexpected:\n%s\nactual:\n%s",
-				i, sq.Text, sq.Expected, actual)
+		if workarounds == 0 {
+			t.Errorf("MaxSteps %d: no query carried a pairwise <> predicate", maxSteps)
 		}
 	}
 }

@@ -96,10 +96,11 @@ type nodeScratch struct {
 	classes map[string][]graph.ID
 }
 
-// NewSynthesizer creates a synthesizer over the generated graph.
+// NewSynthesizer creates a synthesizer over the generated graph. A zero
+// MaxSteps selects the paper's default; every other field is kept.
 func NewSynthesizer(r *rand.Rand, g *graph.Graph, schema *graph.Schema, cfg Config) *Synthesizer {
 	if cfg.MaxSteps == 0 {
-		cfg = DefaultConfig()
+		cfg.MaxSteps = DefaultConfig().MaxSteps
 	}
 	return &Synthesizer{r: r, g: g, schema: schema, cfg: cfg, nodes: &nodeScratch{}, rounds: &roundScratch{}}
 }

@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"gqs/internal/graph"
@@ -130,6 +132,83 @@ func TestAdjIndexScanDifferential(t *testing.T) {
 				t.Fatalf("%s: scan engine used the adjacency index %d times", label, scan.adjExpansions)
 			}
 		}
+	}
+
+	// Bulk leg: the hub-expansion union on a 10k-node power-law graph,
+	// the workload the index exists for.
+	snap, schema := hubGraph()
+	text := hubUnionQuery(snap, schema)
+	indexed, scan := hubEngines(snap, schema)
+	if _, err := indexed.Execute(text); err != nil {
+		t.Fatalf("bulk hubs: %v", err)
+	}
+	runAdjDiff(t, "bulk hubs", text, indexed, scan)
+	if indexed.adjExpansions == 0 {
+		t.Fatal("bulk hubs: indexed engine never used the adjacency index")
+	}
+	if scan.adjExpansions != 0 {
+		t.Fatalf("bulk hubs: scan engine used the adjacency index %d times", scan.adjExpansions)
+	}
+}
+
+// hubArms is how many top-degree hubs the hub-expansion union covers.
+const hubArms = 16
+
+// hubGraph is a 10k-node bulk graph, the shape the scale-10k workload
+// campaigns on.
+func hubGraph() (*graph.Snapshot, *graph.Schema) {
+	g, schema := graph.Generate(rand.New(rand.NewSource(1)), graph.GenConfig{Scale: 10000})
+	return g.Seal(), schema
+}
+
+// hubUnionQuery builds one UNION ALL query whose arms each anchor one of
+// the graph's hubArms highest-degree nodes through its k0 property and
+// expand the rarest relationship type undirected. From a hub that typed
+// expansion touches one index bucket instead of thousands of adjacency
+// entries; the union amortizes per-execution cost over the arms.
+func hubUnionQuery(snap *graph.Snapshot, schema *graph.Schema) string {
+	hubs := slices.Clone(snap.NodeIDs())
+	deg := func(id graph.ID) int { return len(snap.Out(id)) + len(snap.In(id)) }
+	slices.SortStableFunc(hubs, func(a, b graph.ID) int { return deg(b) - deg(a) })
+	rare := schema.RelTypes[len(schema.RelTypes)-1]
+	arms := make([]string, hubArms)
+	for i, id := range hubs[:hubArms] {
+		arms[i] = fmt.Sprintf("MATCH (a:%s {k0: %d})-[r:%s]-(b) RETURN count(r) AS c",
+			snap.Node(id).Labels[0], id, rare)
+	}
+	return strings.Join(arms, " UNION ALL ")
+}
+
+// hubEngines returns reference-dialect engines over snap, one with
+// index-backed expansion and one forced onto the adjacency-list scan.
+func hubEngines(snap *graph.Snapshot, schema *graph.Schema) (indexed, scan *Engine) {
+	indexed = New(Options{Dialect: Reference})
+	scan = New(Options{Dialect: Reference, DisableAdjIndex: true})
+	indexed.LoadSnapshot(snap, schema)
+	scan.LoadSnapshot(snap, schema)
+	return indexed, scan
+}
+
+// BenchmarkHubExpansion times one execution of the hub-expansion union
+// on the index and scan paths. It is a measurement only; no gate reads it.
+func BenchmarkHubExpansion(b *testing.B) {
+	snap, schema := hubGraph()
+	pq, err := Prepare(hubUnionQuery(snap, schema))
+	if err != nil {
+		b.Fatal(err)
+	}
+	indexed, scan := hubEngines(snap, schema)
+	for _, leg := range []struct {
+		name string
+		e    *Engine
+	}{{"index", indexed}, {"scan", scan}} {
+		b.Run(leg.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := leg.e.ExecutePrepared(context.Background(), pq); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
