@@ -37,6 +37,20 @@ func validateExp(exp string) error {
 	return fmt.Errorf("-exp %q: unknown experiment (want one of %s)", exp, strings.Join(experimentNames, ", "))
 }
 
+// validateCounts rejects a negative -iterations, -n or -rounds, which
+// would otherwise print an all-zero table.
+func validateCounts(iterations, n, rounds int) error {
+	switch {
+	case iterations < 0:
+		return fmt.Errorf("-iterations must be >= 0, got %d", iterations)
+	case n < 0:
+		return fmt.Errorf("-n must be >= 0, got %d", n)
+	case rounds < 0:
+		return fmt.Errorf("-rounds must be >= 0, got %d", rounds)
+	}
+	return nil
+}
+
 func main() {
 	var (
 		exp        = flag.String("exp", "all", "experiment: "+strings.Join(experimentNames, ", "))
@@ -48,9 +62,11 @@ func main() {
 		memProfile = flag.String("memprofile", "", "write a heap profile (after the selected experiments) to this file")
 	)
 	flag.Parse()
-	if err := validateExp(*exp); err != nil {
-		fmt.Fprintf(os.Stderr, "gqs-bench: %v\n", err)
-		os.Exit(2)
+	for _, err := range []error{validateExp(*exp), validateCounts(*iterations, *n, *rounds)} {
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "gqs-bench: %v\n", err)
+			os.Exit(2)
+		}
 	}
 	w := os.Stdout
 

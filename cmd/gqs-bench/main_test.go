@@ -25,3 +25,32 @@ func TestValidateExpRejectsUnknownNames(t *testing.T) {
 		}
 	}
 }
+
+func TestValidateCounts(t *testing.T) {
+	for _, tc := range []struct {
+		iterations, n, rounds int
+		flag                  string // "" when the counts are valid
+	}{
+		{60, 2000, 400, ""},
+		{0, 0, 0, ""},
+		{-1, 2000, 400, "-iterations"},
+		{60, -1, 400, "-n"},
+		{60, 2000, -1, "-rounds"},
+		{-5, -5, -5, "-iterations"},
+	} {
+		err := validateCounts(tc.iterations, tc.n, tc.rounds)
+		if tc.flag == "" {
+			if err != nil {
+				t.Errorf("%+v: unexpected error %v", tc, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%+v: accepted", tc)
+			continue
+		}
+		if msg := err.Error(); !strings.HasPrefix(msg, tc.flag+" must be >= 0") || strings.Contains(msg, "\n") {
+			t.Errorf("%+v: message %q is not a one-line message naming %s", tc, msg, tc.flag)
+		}
+	}
+}

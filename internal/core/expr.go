@@ -292,17 +292,26 @@ func (s *Synthesizer) complexifyAccess(varName, prop string, intended value.Valu
 
 // pinPredicate renders a pin as a WHERE conjunct: Algorithm 2 nests the
 // property access, genValueExpr hides the comparison constant, and the
-// result still matches only the pinned element.
+// result still matches only the pinned element. The round count is
+// drawn first: a pin that runs no round needs no competitor values, and
+// gathering them draws no random numbers, so skipping the gather leaves
+// the query text and the RNG stream unchanged.
 func (s *Synthesizer) pinPredicate(p pin, depth int) ast.Expr {
 	intended, _ := s.lookupProp(p.elem, "id")
-	nested, v1 := s.complexifyAccess(p.varName, "id", intended, s.competitorValues(p), s.r.Intn(depth+1))
+	rounds := s.r.Intn(depth + 1)
+	var nested ast.Expr = ast.Prop(p.varName, "id")
+	v1 := intended
+	if rounds > 0 {
+		nested, v1 = s.complexifyAccess(p.varName, "id", intended, s.competitorValues(p), rounds)
+	}
 	return ast.Bin(ast.OpEq, nested, genValueExpr(s.r, v1, s.r.Intn(depth+1)))
 }
 
 // competitorValues gathers the `id` values of p's competitors that have
 // one into the round buffer. A node pin's competitors are every other
-// node of its label class, read from the id column in NodeIDs order in
-// one pass; a relationship pin's are its explicit list.
+// node of its label class, read in NodeIDs order in one pass by
+// Graph.AppendNodeProps (from the id column on a bulk graph); a
+// relationship pin's are its explicit list.
 func (s *Synthesizer) competitorValues(p pin) []value.Value {
 	out := s.rounds.cur[:0]
 	if p.elem.isRel {
@@ -313,28 +322,7 @@ func (s *Synthesizer) competitorValues(p pin) []value.Value {
 		}
 		return out
 	}
-	ids, hasID := s.nodeIDColumn()
-	for _, id := range s.labelClass(p.labels) {
-		if id != p.elem.id && hasID[id] {
-			out = append(out, ids[id])
-		}
-	}
-	return out
-}
-
-// nodeIDColumn returns the `id` property column over node IDs, building
-// it on first use.
-func (s *Synthesizer) nodeIDColumn() ([]value.Value, []bool) {
-	sc := s.nodes
-	if sc.ids == nil {
-		n := nodeSpan(s.g)
-		sc.ids = make([]value.Value, n)
-		sc.hasID = make([]bool, n)
-		for _, id := range s.g.NodeIDs() {
-			sc.ids[id], sc.hasID[id] = s.lookupProp(elemRef{id: id}, "id")
-		}
-	}
-	return sc.ids, sc.hasID
+	return s.g.AppendNodeProps(out, s.labelClass(p.labels), p.elem.id, "id")
 }
 
 // labelClass returns the nodes carrying all of labels, in ascending
@@ -429,20 +417,7 @@ func randomLiteral(r *rand.Rand) ast.Expr {
 
 // randomPropName picks a property present on the element.
 func (s *Synthesizer) randomPropName(ref elemRef) (string, bool) {
-	var props map[string]value.Value
-	if ref.isRel {
-		rel := s.g.Rel(ref.id)
-		if rel == nil {
-			return "", false
-		}
-		props = rel.Props
-	} else {
-		n := s.g.Node(ref.id)
-		if n == nil {
-			return "", false
-		}
-		props = n.Props
-	}
+	props, _ := s.g.Props(ref.id, ref.isRel)
 	names := make([]string, 0, len(props))
 	for k := range props {
 		names = append(names, k)

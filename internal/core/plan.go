@@ -85,12 +85,14 @@ func SelectGroundTruth(r *rand.Rand, g *graph.Graph, maxEntries int) *GroundTrut
 	}
 	var keys []graph.PropertyKey
 	for _, id := range g.NodeIDs() {
-		for name := range g.Node(id).Props {
+		props, _ := g.Props(id, false)
+		for name := range props {
 			keys = append(keys, graph.PropertyKey{Element: id, Name: name})
 		}
 	}
 	for _, id := range g.RelIDs() {
-		for name := range g.Rel(id).Props {
+		props, _ := g.Props(id, true)
+		for name := range props {
 			keys = append(keys, graph.PropertyKey{Element: id, IsRel: true, Name: name})
 		}
 	}
@@ -127,16 +129,12 @@ func selectGroundTruthSampled(r *rand.Rand, g *graph.Graph, maxEntries int) *Gro
 	var names []string
 	for len(gt.Entries) < n {
 		var k graph.PropertyKey
-		var props map[string]value.Value
 		if i := r.Intn(len(nodeIDs) + len(relIDs)); i < len(nodeIDs) {
-			id := nodeIDs[i]
-			k = graph.PropertyKey{Element: id}
-			props = g.Node(id).Props
+			k = graph.PropertyKey{Element: nodeIDs[i]}
 		} else {
-			id := relIDs[i-len(nodeIDs)]
-			k = graph.PropertyKey{Element: id, IsRel: true}
-			props = g.Rel(id).Props
+			k = graph.PropertyKey{Element: relIDs[i-len(nodeIDs)], IsRel: true}
 		}
+		props, _ := g.Props(k.Element, k.IsRel)
 		names = names[:0]
 		for name := range props {
 			names = append(names, name)

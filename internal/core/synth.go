@@ -87,10 +87,6 @@ type Synthesizer struct {
 // its graph, so they stay valid for the synthesizer's lifetime.
 type nodeScratch struct {
 	bfs bfsScratch
-	// ids[n] is node n's `id` property and hasID[n] whether it has one:
-	// the column node pins read competitor values from.
-	ids   []value.Value
-	hasID []bool
 	// classes lists, per label class, the nodes carrying all of its
 	// labels in ascending order, keyed by the labels joined with NUL.
 	classes map[string][]graph.ID

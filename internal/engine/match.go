@@ -425,10 +425,12 @@ func (m *matcher) checkNode(np *ast.NodePattern, id graph.ID) (bool, error) {
 			return false, nil
 		}
 	}
-	return m.checkProps(np.Props, n.Props)
+	return m.checkProps(np.Props, id, false)
 }
 
-func (m *matcher) checkProps(pm *ast.MapLit, props map[string]value.Value) (bool, error) {
+// checkProps tests the inline property map against the properties of
+// the node (isRel false) or relationship id.
+func (m *matcher) checkProps(pm *ast.MapLit, id graph.ID, isRel bool) (bool, error) {
 	if pm == nil {
 		return true, nil
 	}
@@ -437,7 +439,7 @@ func (m *matcher) checkProps(pm *ast.MapLit, props map[string]value.Value) (bool
 		if err != nil {
 			return false, err
 		}
-		got, ok := props[key]
+		got, ok := m.engine.store.Graph().Prop(id, isRel, key)
 		if !ok || value.Equal(got, want) != value.TriTrue {
 			return false, nil
 		}
@@ -461,7 +463,7 @@ func (m *matcher) matchRel(p *ast.PatternPart, i int, cont func() error) error {
 		if !typeMatches(rp.Types, r.Type) {
 			return nil
 		}
-		ok, err := m.checkProps(rp.Props, r.Props)
+		ok, err := m.checkProps(rp.Props, relID, true)
 		if err != nil || !ok {
 			return err
 		}

@@ -590,16 +590,18 @@ func (pm *planMatcher) checkNode(n *cNode, id graph.ID) (bool, error) {
 			return false, nil
 		}
 	}
-	return pm.checkProps(&n.props, gn.Props)
+	return pm.checkProps(&n.props, id, false)
 }
 
-func (pm *planMatcher) checkProps(p *cProps, props map[string]value.Value) (bool, error) {
+// checkProps tests the compiled inline property map against the
+// properties of the node (isRel false) or relationship id.
+func (pm *planMatcher) checkProps(p *cProps, id graph.ID, isRel bool) (bool, error) {
 	for i, key := range p.keys {
 		want, err := p.vals[i](pm.ctx)
 		if err != nil {
 			return false, err
 		}
-		got, ok := props[key]
+		got, ok := pm.g.Prop(id, isRel, key)
 		if !ok || value.Equal(got, want) != value.TriTrue {
 			return false, nil
 		}
@@ -657,7 +659,7 @@ func (pm *planMatcher) tryRel(ch *cChain, i, pi int, rid, other graph.ID) error 
 	if !typeMatches(r.types, gr.Type) {
 		return nil
 	}
-	ok, err := pm.checkProps(&r.props, gr.Props)
+	ok, err := pm.checkProps(&r.props, rid, true)
 	if err != nil || !ok {
 		return err
 	}
@@ -706,7 +708,7 @@ func (pm *planMatcher) tryRelIndexed(ch *cChain, i, pi int, rid, other graph.ID)
 	}
 	r := &ch.rels[i]
 	if len(r.props.keys) > 0 {
-		ok, err := pm.checkProps(&r.props, pm.g.Rel(rid).Props)
+		ok, err := pm.checkProps(&r.props, rid, true)
 		if err != nil || !ok {
 			return err
 		}

@@ -20,8 +20,9 @@ func dumpGraph(g *graph.Graph) string {
 		n := g.Node(id)
 		labels := append([]string(nil), n.Labels...)
 		sort.Strings(labels)
-		props := make([]string, 0, len(n.Props))
-		for k, v := range n.Props {
+		np, _ := g.Props(id, false)
+		props := make([]string, 0, len(np))
+		for k, v := range np {
 			props = append(props, k+"="+v.Key())
 		}
 		sort.Strings(props)
@@ -29,8 +30,9 @@ func dumpGraph(g *graph.Graph) string {
 	}
 	for _, id := range g.RelIDs() {
 		r := g.Rel(id)
-		props := make([]string, 0, len(r.Props))
-		for k, v := range r.Props {
+		rp, _ := g.Props(id, true)
+		props := make([]string, 0, len(rp))
+		for k, v := range rp {
 			props = append(props, k+"="+v.Key())
 		}
 		sort.Strings(props)

@@ -86,7 +86,7 @@ func (s *Store) Reset(g *graph.Graph, schema *graph.Schema) {
 	s.src, s.snap = g, nil
 	s.dirty = false
 	s.schema = schema
-	s.base = graph.BuildIndex(s.g.NodeIDs(), s.g.Node, schema)
+	s.base = graph.BuildIndex(s.g, schema)
 	s.clearDeltas()
 }
 
@@ -204,7 +204,7 @@ func (s *Store) indexNode(n *graph.Node) {
 		if !n.HasLabel(spec.Label) {
 			continue
 		}
-		v, ok := n.Props[spec.Property]
+		v, ok := s.g.Prop(n.ID, false, spec.Property)
 		if !ok {
 			continue
 		}
@@ -231,7 +231,7 @@ func (s *Store) unindexNode(n *graph.Node) {
 		if !n.HasLabel(spec.Label) {
 			continue
 		}
-		v, ok := n.Props[spec.Property]
+		v, ok := s.g.Prop(n.ID, false, spec.Property)
 		if !ok {
 			continue
 		}
@@ -536,22 +536,4 @@ func (s *Store) RelTypes() []string {
 }
 
 // PropertyKeys returns all property names present, sorted.
-func (s *Store) PropertyKeys() []string {
-	set := map[string]struct{}{}
-	for _, id := range s.g.NodeIDs() {
-		for k := range s.g.Node(id).Props {
-			set[k] = struct{}{}
-		}
-	}
-	for _, id := range s.g.RelIDs() {
-		for k := range s.g.Rel(id).Props {
-			set[k] = struct{}{}
-		}
-	}
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
+func (s *Store) PropertyKeys() []string { return s.g.PropertyKeys() }

@@ -359,14 +359,7 @@ func (c *Compiler) compilePropAccess(e *ast.PropAccess) (comp, error) {
 			}
 			return value.Null, nil
 		case value.KindNode, value.KindRel:
-			props, ok := GraphCtx{G: ctx.Graph}.EntityProps(s.EntityID(), s.Kind() == value.KindRel)
-			if !ok {
-				return value.Null, fmt.Errorf("unknown entity %d", s.EntityID())
-			}
-			if v, ok := props[name]; ok {
-				return v, nil
-			}
-			return value.Null, nil
+			return GraphCtx{G: ctx.Graph}.prop(s.EntityID(), s.Kind() == value.KindRel, name)
 		default:
 			return value.Null, fmt.Errorf("type error: cannot access property %s of %s", name, s.Kind())
 		}

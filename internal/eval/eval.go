@@ -86,23 +86,29 @@ func (c GraphCtx) RelEndpoints(id int64) (int64, int64, bool) {
 	return r.Start, r.End, true
 }
 
-// EntityProps implements functions.GraphContext.
+// EntityProps implements functions.GraphContext. A column-backed
+// element of a sealed snapshot gets a new map per call (graph.Props).
 func (c GraphCtx) EntityProps(id int64, isRel bool) (map[string]value.Value, bool) {
 	if c.G == nil {
 		return nil, false
 	}
-	if isRel {
-		r := c.G.Rel(id)
-		if r == nil {
-			return nil, false
+	return c.G.Props(id, isRel)
+}
+
+// prop evaluates a property access on an entity: the property's value,
+// null when the entity lacks it, or an error for an unknown entity. It
+// reads one property through graph.Prop and touches the element table
+// again only when the property is absent.
+func (c GraphCtx) prop(id int64, isRel bool, name string) (value.Value, error) {
+	if c.G != nil {
+		if v, ok := c.G.Prop(id, isRel, name); ok {
+			return v, nil
 		}
-		return r.Props, true
+		if isRel && c.G.Rel(id) != nil || !isRel && c.G.Node(id) != nil {
+			return value.Null, nil
+		}
 	}
-	n := c.G.Node(id)
-	if n == nil {
-		return nil, false
-	}
-	return n.Props, true
+	return value.Null, fmt.Errorf("unknown entity %d", id)
 }
 
 // UnknownVariableError reports a reference to a variable that is not in
@@ -335,14 +341,7 @@ func evalPropAccess(ctx *Ctx, e *ast.PropAccess) (value.Value, error) {
 		}
 		return value.Null, nil
 	case value.KindNode, value.KindRel:
-		props, ok := GraphCtx{G: ctx.Graph}.EntityProps(s.EntityID(), s.Kind() == value.KindRel)
-		if !ok {
-			return value.Null, fmt.Errorf("unknown entity %d", s.EntityID())
-		}
-		if v, ok := props[e.Name]; ok {
-			return v, nil
-		}
-		return value.Null, nil
+		return GraphCtx{G: ctx.Graph}.prop(s.EntityID(), s.Kind() == value.KindRel, e.Name)
 	default:
 		return value.Null, fmt.Errorf("type error: cannot access property %s of %s", e.Name, s.Kind())
 	}

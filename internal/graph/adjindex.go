@@ -1,7 +1,8 @@
 package graph
 
 // Adjacency index: per-node candidate relationship lists keyed by
-// (direction, relationship type), built once per sealed snapshot. Match
+// (direction, relationship type), built once per sealed snapshot and laid
+// out densely (DESIGN.md §17). Match
 // expansion over a typed relationship pattern walks the (node, type)
 // bucket instead of scanning the node's full adjacency list, so hub
 // nodes with thousands of relationships cost only as much as the
@@ -27,34 +28,65 @@ type AdjEntry struct {
 	NSPos int32
 }
 
-// adjKey addresses one (node, relationship type) bucket; the type is
-// interned to a small index so bucket lookups and the build's bucket
-// assigns hash two integers instead of a string.
-type adjKey struct {
-	node ID
-	ti   int32
-}
-
-// AdjIndex is the per-snapshot adjacency index. Buckets hold entries in
-// ascending Pos order (the build walks each adjacency list in order),
-// so a typed expansion visits candidates exactly as the full-list scan
-// would.
+// AdjIndex is the per-snapshot adjacency index. Each direction lays its
+// entries out in one slab, node by node in table order and, within a
+// node, grouped by relationship type; per-node group offsets address
+// the groups (adjDir). Groups hold entries in ascending Pos order (the
+// build walks each adjacency list in order), so a typed expansion
+// visits candidates exactly as the full-list scan would.
 type AdjIndex struct {
 	// typIdx interns every relationship type present in the snapshot;
 	// types absent from it have no entries anywhere.
-	typIdx map[string]int32
-	out    map[adjKey][]AdjEntry
-	in     map[adjKey][]AdjEntry
+	typIdx   map[string]int32
+	nodeBase ID
+	out, in  adjDir
 	// selfIn counts self-loop entries in each node's in list (sparse:
 	// nodes without self-loops are absent).
 	selfIn map[ID]int32
+}
+
+// adjDir is one direction of the index. The groups of the node at table
+// index i are groups[first[i]:first[i+1]], in ascending type order; group
+// g's entries are slab[end of group g-1 : groups[g].end], since the
+// groups tile the slab without gaps.
+type adjDir struct {
+	first  []int32 // len(table)+1 group offsets
+	groups []adjGroup
+	slab   []AdjEntry
+}
+
+// adjGroup is one (node, relationship type) run of the slab: the
+// interned type and the slab offset one past its last entry.
+type adjGroup struct {
+	ti  int32
+	end int32
+}
+
+// bucket returns the entries of type ti of the node at table index i
+// (shared, read-only), or nil.
+func (d *adjDir) bucket(i ID, ti int32) []AdjEntry {
+	if i < 0 || i+1 >= ID(len(d.first)) {
+		return nil
+	}
+	for g := d.first[i]; g < d.first[i+1]; g++ {
+		if d.groups[g].ti != ti {
+			continue
+		}
+		start := int32(0)
+		if g > 0 {
+			start = d.groups[g-1].end
+		}
+		end := d.groups[g].end
+		return d.slab[start:end:end]
+	}
+	return nil
 }
 
 // Out returns the node's out entries of the given type, Pos-ascending.
 // The slice is shared and read-only.
 func (ix *AdjIndex) Out(n ID, typ string) []AdjEntry {
 	if ti, ok := ix.typIdx[typ]; ok {
-		return ix.out[adjKey{n, ti}]
+		return ix.out.bucket(n-ix.nodeBase, ti)
 	}
 	return nil
 }
@@ -63,7 +95,7 @@ func (ix *AdjIndex) Out(n ID, typ string) []AdjEntry {
 // (shared, read-only).
 func (ix *AdjIndex) In(n ID, typ string) []AdjEntry {
 	if ti, ok := ix.typIdx[typ]; ok {
-		return ix.in[adjKey{n, ti}]
+		return ix.in.bucket(n-ix.nodeBase, ti)
 	}
 	return nil
 }
@@ -77,10 +109,9 @@ func (ix *AdjIndex) SelfLoopIn(n ID) int {
 // adjBuilder carries the scratch state of one index build: the type
 // table (relationship types interned to small indexes) and per-list
 // scratch arrays, so grouping a node's adjacency list by type costs no
-// allocation beyond the shared entry backing array. Every relationship
-// appears in exactly one out list and one in list, so each direction's
-// entries total s.NumRels() and are carved from a single slab — at bulk
-// scale, growing one bucket slice per entry is the dominant build cost.
+// allocation beyond the direction's slab and group list. Every
+// relationship appears in exactly one out list and one in list, so each
+// direction's entries total s.NumRels().
 type adjBuilder struct {
 	typIdx map[string]int32
 	counts []int32 // per-type entry count of the current list
@@ -124,11 +155,11 @@ func (b *adjBuilder) scratch(n int) {
 	b.selfs = b.selfs[:n]
 }
 
-// carve groups one node's adjacency list by relationship type into
-// subslices of back (filled in list order, so buckets ascend in Pos)
-// and installs the buckets. in selects the in-list entry shape: Other =
-// Start, self-loops flagged, NSPos compacted.
-func (b *adjBuilder) carve(ix *AdjIndex, n ID, list []ID, back []AdjEntry, in bool) []AdjEntry {
+// carve groups one node's adjacency list by relationship type onto the
+// end of the direction's slab (filled in list order, so groups ascend in
+// Pos) and appends its groups in type order. in selects the in-list
+// entry shape: Other = Start, self-loops flagged, NSPos compacted.
+func (b *adjBuilder) carve(ix *AdjIndex, d *adjDir, n ID, list []ID, in bool) {
 	b.scratch(len(list))
 	for pos, rid := range list {
 		m := &b.meta[rid-b.relBase]
@@ -141,8 +172,8 @@ func (b *adjBuilder) carve(ix *AdjIndex, n ID, list []ID, back []AdjEntry, in bo
 			b.others[pos] = m.end
 		}
 	}
-	base := len(back)
-	back = back[:base+len(list)]
+	base := len(d.slab)
+	d.slab = d.slab[:base+len(list)]
 	off := int32(0)
 	for ti, c := range b.counts {
 		b.starts[ti] = off
@@ -161,47 +192,46 @@ func (b *adjBuilder) carve(ix *AdjIndex, n ID, list []ID, back []AdjEntry, in bo
 				ns++
 			}
 		}
-		back[base+int(b.starts[ti])] = e
+		d.slab[base+int(b.starts[ti])] = e
 		b.starts[ti]++
-	}
-	dst := ix.out
-	if in {
-		dst = ix.in
 	}
 	for ti, c := range b.counts {
 		if c > 0 {
-			end := base + int(b.starts[ti])
-			dst[adjKey{n, int32(ti)}] = back[end-int(c) : end : end]
+			d.groups = append(d.groups, adjGroup{ti: int32(ti), end: int32(base) + b.starts[ti]})
 			b.counts[ti] = 0
 		}
 	}
-	return back
 }
 
 // buildAdjIndex indexes every adjacency list of the snapshot: one pass
-// over each direction's lists, grouping each list by relationship type
-// in list order.
+// over each direction's lists in node-table order, grouping each list by
+// relationship type in list order.
 func buildAdjIndex(s *Snapshot) *AdjIndex {
 	ix := &AdjIndex{
-		typIdx: make(map[string]int32, 16),
-		out:    make(map[adjKey][]AdjEntry, s.NumNodes()),
-		in:     make(map[adjKey][]AdjEntry, s.NumNodes()),
-		selfIn: make(map[ID]int32),
+		typIdx:   make(map[string]int32, 16),
+		nodeBase: s.nodeBase,
+		selfIn:   make(map[ID]int32),
 	}
 	b := &adjBuilder{typIdx: ix.typIdx, relBase: s.relBase, meta: make([]relMeta, len(s.rels))}
 	for _, rid := range s.relIDs {
 		r := s.Rel(rid)
 		b.meta[rid-b.relBase] = relMeta{start: r.Start, end: r.End, ti: b.idxOf(r.Type)}
 	}
-	outBack := make([]AdjEntry, 0, s.NumRels())
-	inBack := make([]AdjEntry, 0, s.NumRels())
-	for _, n := range s.nodeIDs {
-		if list := s.Out(n); len(list) > 0 {
-			outBack = b.carve(ix, n, list, outBack, false)
+	for _, d := range []*adjDir{&ix.out, &ix.in} {
+		d.first = make([]int32, len(s.nodes)+1)
+		d.groups = make([]adjGroup, 0, s.NumNodes())
+		d.slab = make([]AdjEntry, 0, s.NumRels())
+	}
+	for i := range s.nodes {
+		n := s.nodeBase + ID(i)
+		if list := s.out[i]; len(list) > 0 {
+			b.carve(ix, &ix.out, n, list, false)
 		}
-		if list := s.In(n); len(list) > 0 {
-			inBack = b.carve(ix, n, list, inBack, true)
+		if list := s.in[i]; len(list) > 0 {
+			b.carve(ix, &ix.in, n, list, true)
 		}
+		ix.out.first[i+1] = int32(len(ix.out.groups))
+		ix.in.first[i+1] = int32(len(ix.in.groups))
 	}
 	return ix
 }

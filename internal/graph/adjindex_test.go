@@ -54,8 +54,9 @@ func TestAdjIndexMatchesAdjacencyLists(t *testing.T) {
 				t.Fatalf("seed %d: In(%d, %s) = %v, want %v", seed, k.node, k.typ, got, want)
 			}
 		}
-		if len(ix.out) != len(wantOut) || len(ix.in) != len(wantIn) {
-			t.Fatalf("seed %d: bucket counts out %d/%d in %d/%d", seed, len(ix.out), len(wantOut), len(ix.in), len(wantIn))
+		// One (node, type) group per non-empty bucket, no more.
+		if len(ix.out.groups) != len(wantOut) || len(ix.in.groups) != len(wantIn) {
+			t.Fatalf("seed %d: group counts out %d/%d in %d/%d", seed, len(ix.out.groups), len(wantOut), len(ix.in.groups), len(wantIn))
 		}
 		for _, n := range snap.NodeIDs() {
 			if got := ix.SelfLoopIn(n); got != int(wantSelf[n]) {

@@ -3,8 +3,6 @@ package graph
 import (
 	"fmt"
 	"math/rand"
-
-	"gqs/internal/value"
 )
 
 // Bulk graph generation: the large-graph leg of the campaign harness.
@@ -15,8 +13,9 @@ import (
 // adjacency lists from two shared backing arrays in one counting pass.
 // The result is an overlay over that snapshot, so sealing it is free
 // (Seal returns the base), and no per-element index churn happens at
-// all: label/property indexes and the adjacency index are each built
-// exactly once when the snapshot is first read.
+// all: the label index and the adjacency index are each built exactly
+// once when the snapshot is first read, and the property index's
+// buckets on its first probe.
 //
 // Relationship endpoints are drawn by preferential attachment — every
 // accepted endpoint re-enters the draw pool — so degree follows a
@@ -80,11 +79,16 @@ func generateBulk(r *rand.Rand, cfg GenConfig) (*Graph, *Schema) {
 		relIDs:  make([]ID, nRels),
 	}
 	// Nodes 0..nNodes-1: one label, props id + k0 (both the element ID,
-	// k0 being the indexed probe key). Node structs and their one-label
-	// slices come from two batch allocations — at bulk scale, per-element
-	// allocation is the dominant generation cost. The structs are safe to
-	// share a backing array: overlay mutation copies elements before
-	// writing (MutableNode), never in place.
+	// k0 being the indexed probe key). The properties go into int64
+	// columns, not per-node maps (DESIGN.md §17); k0 shares the id
+	// column's storage, since the two are equal on every node and a
+	// snapshot's columns are never written after generation. Node
+	// structs and their one-label slices come from two batch allocations
+	// — at bulk scale, per-element allocation is the dominant generation
+	// cost. The structs are safe to share a backing array: overlay
+	// mutation copies elements before writing (MutableNode), never in
+	// place.
+	idCol := newPropColumn("id", nNodes)
 	nodeArr := make([]Node, nNodes)
 	labelArr := make([]string, nNodes)
 	for i := 0; i < nNodes; i++ {
@@ -93,12 +97,17 @@ func generateBulk(r *rand.Rand, cfg GenConfig) (*Graph, *Schema) {
 		n := &nodeArr[i]
 		n.ID = id
 		n.Labels = labelArr[i : i+1 : i+1]
-		n.Props = make(map[string]value.Value, 2)
-		n.Props["id"] = value.Int(int64(id))
-		n.Props["k0"] = value.Int(int64(id))
+		idCol.set(i, int64(id))
 		snap.nodes[i] = n
 		snap.nodeIDs[i] = id
 	}
+	k0Col := idCol
+	k0Col.key = "k0"
+	snap.nodeCols = []propColumn{idCol, k0Col}
+	// Relationships get an id column with every entry absent: bulk
+	// relationships carry no properties, and a later fill needs no map
+	// per relationship.
+	snap.relCols = []propColumn{newPropColumn("id", nRels)}
 
 	// Endpoint draws: Barabási–Albert-style arrival. Relationships are
 	// distributed evenly over nodes in ID order; each attaches its
@@ -110,9 +119,7 @@ func generateBulk(r *rand.Rand, cfg GenConfig) (*Graph, *Schema) {
 	// self-loops or are redirected, as in the small generator.
 	pool := make([]ID, 1, 1+2*nRels)
 	zipf := rand.NewZipf(r, bulkTypeSkew, 1, uint64(len(s.RelTypes)-1))
-	starts := make([]ID, nRels)
-	ends := make([]ID, nRels)
-	typs := make([]string, nRels)
+	relArr := make([]Rel, nRels)
 	outDeg := make([]int32, nNodes)
 	inDeg := make([]int32, nNodes)
 	for i := 0; i < nRels; i++ {
@@ -125,8 +132,14 @@ func generateBulk(r *rand.Rand, cfg GenConfig) (*Graph, *Schema) {
 			a, b = b, a
 		}
 		pool = append(pool, a, b)
-		starts[i], ends[i] = a, b
-		typs[i] = s.RelTypes[zipf.Uint64()]
+		// No relationship properties (the id column stays absent), and
+		// property ground truth on large graphs comes from nodes (the
+		// sampled selector skips prop-less elements). Writes still work
+		// — the COW copy materializes an empty map.
+		rel := &relArr[i]
+		rel.ID, rel.Type, rel.Start, rel.End = ID(nNodes+i), s.RelTypes[zipf.Uint64()], a, b
+		snap.rels[i] = rel
+		snap.relIDs[i] = rel.ID
 		outDeg[a]++
 		inDeg[b]++
 	}
@@ -149,23 +162,12 @@ func generateBulk(r *rand.Rand, cfg GenConfig) (*Graph, *Schema) {
 	inPos := make([]int32, nNodes)
 	copy(outPos, outOff[:nNodes])
 	copy(inPos, inOff[:nNodes])
-	relArr := make([]Rel, nRels)
-	for i := 0; i < nRels; i++ {
-		rid := ID(nNodes + i)
-		a, b := starts[i], ends[i]
+	for i := range relArr {
 		rel := &relArr[i]
-		rel.ID, rel.Type, rel.Start, rel.End = rid, typs[i], a, b
-		// No relationship properties: at bulk scale the per-rel map is
-		// the single most expensive allocation, and property ground
-		// truth on large graphs comes from nodes (the sampled selector
-		// skips prop-less elements). Writes still work — the COW copy
-		// materializes an empty map.
-		snap.rels[i] = rel
-		snap.relIDs[i] = rid
-		outBack[outPos[a]] = rid
-		outPos[a]++
-		inBack[inPos[b]] = rid
-		inPos[b]++
+		outBack[outPos[rel.Start]] = rel.ID
+		outPos[rel.Start]++
+		inBack[inPos[rel.End]] = rel.ID
+		inPos[rel.End]++
 	}
 	for i := 0; i < nNodes; i++ {
 		if outDeg[i] > 0 {

@@ -14,12 +14,13 @@ import (
 func (g *Graph) ToCypher() string {
 	var parts []string
 	for _, id := range g.NodeIDs() {
-		n := g.Node(id)
-		parts = append(parts, fmt.Sprintf("(_n%d%s %s)", id, labelString(n.Labels), propString(n.Props)))
+		props, _ := g.Props(id, false)
+		parts = append(parts, fmt.Sprintf("(_n%d%s %s)", id, labelString(g.Node(id).Labels), propString(props)))
 	}
 	for _, id := range g.RelIDs() {
 		r := g.Rel(id)
-		parts = append(parts, fmt.Sprintf("(_n%d)-[:%s %s]->(_n%d)", r.Start, r.Type, propString(r.Props), r.End))
+		props, _ := g.Props(id, true)
+		parts = append(parts, fmt.Sprintf("(_n%d)-[:%s %s]->(_n%d)", r.Start, r.Type, propString(props), r.End))
 	}
 	if len(parts) == 0 {
 		return ""

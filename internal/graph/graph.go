@@ -6,7 +6,6 @@ package graph
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"strings"
 
@@ -20,7 +19,10 @@ import (
 // after a Seal has an ID strictly greater than every base ID.
 type ID = int64
 
-// Node is a graph node with labels and properties.
+// Node is a graph node with labels and properties. A node of a sealed
+// snapshot may keep some properties in the snapshot's columns instead of
+// Props (a bulk node has no Props map at all), so read properties
+// through Graph.Prop or Graph.Props, not Props.
 type Node struct {
 	ID     ID
 	Labels []string
@@ -37,7 +39,8 @@ func (n *Node) HasLabel(l string) bool {
 	return false
 }
 
-// Rel is a directed relationship with a type and properties.
+// Rel is a directed relationship with a type and properties; like a
+// Node's, its properties are read through Graph.Prop or Graph.Props.
 type Rel struct {
 	ID    ID
 	Type  string
@@ -212,9 +215,10 @@ func (g *Graph) Rel(id ID) *Rel {
 }
 
 // MutableNode returns the node ready for in-place mutation, copying its
-// labels and properties out of the base snapshot on this graph's first
-// write to it. Callers about to change Labels or Props must use it in
-// place of Node, or a shared snapshot would observe the write.
+// labels and properties (column entries included) out of the base
+// snapshot on this graph's first write to it. Callers about to change
+// Labels or Props must use it in place of Node, or a shared snapshot
+// would observe the write.
 func (g *Graph) MutableNode(id ID) *Node {
 	if n, ok := g.nodes[id]; ok || g.base == nil {
 		return n
@@ -224,7 +228,8 @@ func (g *Graph) MutableNode(id ID) *Node {
 		return nil
 	}
 	g.cow.NodeCopies++
-	cp := &Node{ID: n.ID, Labels: slices.Clone(n.Labels), Props: maps.Clone(n.Props)}
+	props, _ := g.props(id, false, true)
+	cp := &Node{ID: n.ID, Labels: slices.Clone(n.Labels), Props: props}
 	if cp.Props == nil {
 		// Bulk-generated elements may carry no properties; the copy must
 		// still accept writes.
@@ -244,7 +249,8 @@ func (g *Graph) MutableRel(id ID) *Rel {
 		return nil
 	}
 	g.cow.RelCopies++
-	cp := &Rel{ID: r.ID, Type: r.Type, Start: r.Start, End: r.End, Props: maps.Clone(r.Props)}
+	props, _ := g.props(id, true, true)
+	cp := &Rel{ID: r.ID, Type: r.Type, Start: r.Start, End: r.End, Props: props}
 	if cp.Props == nil {
 		cp.Props = map[string]value.Value{}
 	}
@@ -419,11 +425,13 @@ func (g *Graph) Clone() *Graph {
 	nodeIDs := g.NodeIDs()
 	for _, id := range nodeIDs {
 		n := g.Node(id)
-		c.nodes[id] = &Node{ID: id, Labels: slices.Clone(n.Labels), Props: maps.Clone(n.Props)}
+		props, _ := g.props(id, false, true)
+		c.nodes[id] = &Node{ID: id, Labels: slices.Clone(n.Labels), Props: props}
 	}
 	for _, id := range g.RelIDs() {
 		r := g.Rel(id)
-		c.rels[id] = &Rel{ID: id, Type: r.Type, Start: r.Start, End: r.End, Props: maps.Clone(r.Props)}
+		props, _ := g.props(id, true, true)
+		c.rels[id] = &Rel{ID: id, Type: r.Type, Start: r.Start, End: r.End, Props: props}
 	}
 	for _, id := range nodeIDs {
 		if out := g.Out(id); len(out) > 0 {
@@ -456,20 +464,5 @@ type PropertyKey struct {
 // Lookup resolves the property key against the graph, returning the value
 // and whether the property exists.
 func (g *Graph) Lookup(k PropertyKey) (value.Value, bool) {
-	var props map[string]value.Value
-	if k.IsRel {
-		r := g.Rel(k.Element)
-		if r == nil {
-			return value.Null, false
-		}
-		props = r.Props
-	} else {
-		n := g.Node(k.Element)
-		if n == nil {
-			return value.Null, false
-		}
-		props = n.Props
-	}
-	v, ok := props[k.Name]
-	return v, ok
+	return g.Prop(k.Element, k.IsRel, k.Name)
 }

@@ -1,56 +1,82 @@
 package graph
 
-import "slices"
+import (
+	"slices"
+	"sync"
+)
 
 // Index is the immutable label/property index of one graph state: label →
 // ascending node IDs, and per schema-declared IndexSpec, property value
-// key → ascending node IDs. It is never mutated after BuildIndex returns,
-// so one instance can back any number of stores concurrently; the engine
-// layers per-store add/remove delta sets on top (engine.Store) instead of
+// key → ascending node IDs. Its contents never change once built, so one
+// instance can back any number of stores concurrently; the engine layers
+// per-store add/remove delta sets on top (engine.Store) instead of
 // rebuilding it per Reset.
+//
+// The label lists are built with the index. The property buckets of a
+// snapshot's index are filled on the first probe (Prop or HasPropID),
+// once, under propOnce: a campaign whose queries never probe a property
+// index never pays for it. BuildIndex, the unsealed path, fills them at
+// once.
 type Index struct {
 	label  map[string][]ID
-	labels []string // labels with at least one node, sorted
-	prop   map[IndexSpec]map[string][]ID
+	labels []string    // labels with at least one node, sorted
 	specs  []IndexSpec // declared specs in schema order, deduplicated
+
+	propOnce sync.Once
+	fill     func() // builds prop; run through propOnce
+	prop     map[IndexSpec]map[string][]ID
 }
 
-// BuildIndex indexes the given nodes (ids ascending, node resolving each
-// ID) under the schema's declared property indexes. A nil schema declares
-// none.
-func BuildIndex(ids []ID, node func(ID) *Node, schema *Schema) *Index {
-	ix := &Index{
-		label: make(map[string][]ID),
-		prop:  make(map[IndexSpec]map[string][]ID),
-	}
+// BuildIndex indexes every node of g under the schema's declared
+// property indexes, property buckets included. A nil schema declares
+// none. The index captures g's current state; later writes to g do not
+// reach it.
+func BuildIndex(g *Graph, schema *Schema) *Index {
+	ix := newIndex(g, schema)
+	ix.propOnce.Do(ix.fill)
+	return ix
+}
+
+// newIndex builds the label lists of g's nodes and leaves the property
+// buckets to the first probe, which reads them from g: g must not change
+// before then.
+func newIndex(g *Graph, schema *Schema) *Index {
+	ix := &Index{label: make(map[string][]ID)}
 	if schema != nil {
 		for _, spec := range schema.Indexes {
-			if _, ok := ix.prop[spec]; ok {
-				continue
+			if !slices.Contains(ix.specs, spec) {
+				ix.specs = append(ix.specs, spec)
 			}
-			ix.prop[spec] = make(map[string][]ID)
-			ix.specs = append(ix.specs, spec)
 		}
 	}
-	for _, id := range ids {
-		n := node(id)
-		for _, l := range n.Labels {
+	for _, id := range g.NodeIDs() {
+		for _, l := range g.Node(id).Labels {
 			ix.label[l] = append(ix.label[l], id)
-		}
-		for _, spec := range ix.specs {
-			if !n.HasLabel(spec.Label) {
-				continue
-			}
-			if v, ok := n.Props[spec.Property]; ok {
-				k := v.Key()
-				ix.prop[spec][k] = append(ix.prop[spec][k], id)
-			}
 		}
 	}
 	for l := range ix.label {
 		ix.labels = append(ix.labels, l)
 	}
 	slices.Sort(ix.labels)
+	ix.fill = func() {
+		ix.prop = make(map[IndexSpec]map[string][]ID, len(ix.specs))
+		for _, spec := range ix.specs {
+			byKey := make(map[string][]ID)
+			for _, id := range ix.label[spec.Label] {
+				v, ok := g.Prop(id, false, spec.Property)
+				if !ok {
+					continue
+				}
+				k := v.Key()
+				// A node listing the label twice appears twice in the
+				// label list but once per bucket.
+				if b := byKey[k]; len(b) == 0 || b[len(b)-1] != id {
+					byKey[k] = append(b, id)
+				}
+			}
+			ix.prop[spec] = byKey
+		}
+	}
 	return ix
 }
 
@@ -73,19 +99,24 @@ func (ix *Index) HasLabelID(l string, id ID) bool {
 }
 
 // PropDeclared reports whether the spec was declared by the schema the
-// index was built under.
+// index was built under. It does not fill the property buckets.
 func (ix *Index) PropDeclared(spec IndexSpec) bool {
-	_, ok := ix.prop[spec]
-	return ok
+	return slices.Contains(ix.specs, spec)
+}
+
+// props returns the property buckets, filling them on the first call.
+func (ix *Index) props() map[IndexSpec]map[string][]ID {
+	ix.propOnce.Do(ix.fill)
+	return ix.prop
 }
 
 // Prop returns the ascending node IDs whose spec property has the given
 // value key (shared, read-only), or nil.
-func (ix *Index) Prop(spec IndexSpec, key string) []ID { return ix.prop[spec][key] }
+func (ix *Index) Prop(spec IndexSpec, key string) []ID { return ix.props()[spec][key] }
 
 // HasPropID reports whether the node is indexed under (spec, key).
 func (ix *Index) HasPropID(spec IndexSpec, key string, id ID) bool {
-	_, ok := slices.BinarySearch(ix.prop[spec][key], id)
+	_, ok := slices.BinarySearch(ix.props()[spec][key], id)
 	return ok
 }
 

@@ -22,6 +22,11 @@ import (
 // no element (the other kind's ID, or a deleted element) holds nil.
 // Every read goes through the bounds-checked accessors below, so any ID
 // — negative, another kind's, or far past the table — yields nil.
+//
+// nodeCols/relCols are the int64 property columns parallel to the
+// tables (columns.go): a bulk snapshot keeps node `id` and `k0` there
+// and has an all-absent relationship `id` column; a sealed small graph
+// has none and keeps every property in its elements' maps.
 type Snapshot struct {
 	nodes    []*Node
 	rels     []*Rel
@@ -29,6 +34,8 @@ type Snapshot struct {
 	in       [][]ID
 	nodeBase ID
 	relBase  ID
+	nodeCols []propColumn
+	relCols  []propColumn
 	// nextID is the ID counter at seal time; overlay graphs start their
 	// counter here so newly created element IDs never collide with base
 	// IDs (the counter is monotonic and IDs are never reused).
@@ -103,14 +110,15 @@ func (s *Snapshot) In(n ID) []ID {
 // Index returns the label/property index of this snapshot under the
 // given schema, building it on the first request and caching it per
 // schema pointer, so all stores sharing the snapshot share one index
-// build. Safe for concurrent use.
+// build. The label lists are built here; the property buckets on their
+// first probe (see Index). Safe for concurrent use.
 func (s *Snapshot) Index(schema *Schema) *Index {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if ix, ok := s.idx[schema]; ok {
 		return ix
 	}
-	ix := BuildIndex(s.nodeIDs, s.Node, schema)
+	ix := newIndex(FromSnapshot(s), schema)
 	if s.idx == nil {
 		s.idx = make(map[*Schema]*Index, 1)
 	}
